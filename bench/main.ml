@@ -342,9 +342,6 @@ let micro () =
       Test.make ~name:"espresso 10-var table"
         (Staged.stage (fun () ->
              ignore (Logic.Espresso.minimize ~on:tt10 ~dc:(Logic.Truth.const0 10))));
-      (* Ablation: exact TFO re-simulation vs backward observability masks. *)
-      Test.make ~name:"ablation: observability masks (backward pass)"
-        (Staged.stage (fun () -> ignore (Errest.Observability.masks mtp8 ~sigs)));
       Test.make ~name:"fraig-lite mtp8"
         (Staged.stage (fun () -> ignore (Sim.Fraig.run mtp8)));
     ]
@@ -816,7 +813,6 @@ let ablations () =
       ("fixed small care set (N=8)", { base with Core.Config.sim_rounds = 8 });
       ("large care set (N=256)", { base with Core.Config.sim_rounds = 256 });
       ("L=4 LACs per node", { base with Core.Config.lac_limit = 4 });
-      ("ODC-aware care sets", { base with Core.Config.use_odc = true });
       ("no depth guard", { base with Core.Config.max_depth_growth = infinity });
     ]
   in
@@ -833,16 +829,13 @@ let ablations () =
         (pct exact) report.Core.Flow.runtime_s)
     variants
 
-(* ---------- Explore bench: sweep determinism + policy comparison ----------
+(* ---------- Explore bench: sweep determinism ----------
 
-   Three corpus sweeps over the same manifest: greedy at jobs=1, greedy at
-   jobs=2 into a fresh directory (the determinism gate: every front file
-   must be byte-identical — exit 1 otherwise), and the UCB1 bandit.  The
-   greedy and bandit sweeps share seeds point-for-point, so their per-point
-   deltas are matched pairs.  Writes BENCH_explore.json: per-point rows,
-   corpus-mean area ratios, the policy-vs-greedy improvement, selection
-   efficiency (accepts per thousand scored candidates), and the bandit's
-   per-arm counters from a representative run. *)
+   Two corpus sweeps over the same manifest: jobs=1, and jobs=2 into a
+   fresh directory.  The determinism gate: every front file must be
+   byte-identical — exit 1 otherwise.  Writes BENCH_explore.json: per-point
+   rows, the corpus-mean area ratio and selection efficiency (accepts per
+   thousand scored candidates). *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -870,7 +863,7 @@ let fronts_identical dir_a dir_b =
        fa
 
 let explore_bench () =
-  Printf.printf "\n== Explore: corpus sweep determinism and policy comparison ==\n%!";
+  Printf.printf "\n== Explore: corpus sweep determinism ==\n%!";
   let benchmarks =
     if smoke_mode then [ "ctrl"; "int2float" ]
     else [ "c880"; "cavlc"; "ctrl"; "int2float" ]
@@ -887,12 +880,11 @@ let explore_bench () =
   in
   rm_rf root;
   Unix.mkdir root 0o755;
-  let spec dir policy jobs =
+  let spec dir jobs =
     {
       Explore.Sweep.dir = Filename.concat root dir;
       benchmarks;
       ladders;
-      policy;
       seed = 1;
       eval_rounds = e_rounds;
       max_iters = e_iters;
@@ -909,94 +901,50 @@ let explore_bench () =
         Printf.eprintf "explore bench: %s sweep failed: %s\n" name e;
         exit 1
     | Ok p ->
-        Printf.printf "%-14s %d points in %.1fs wall (jobs=%d)\n%!" name
+        Printf.printf "%-6s %d points in %.1fs wall (jobs=%d)\n%!" name
           p.Explore.Sweep.total (wall () -. t0) s.Explore.Sweep.jobs;
         p
   in
-  let pg = sweep "greedy/j1" (spec "greedy-j1" Explore.Policy.Greedy 1) in
-  let _ = sweep "greedy/j2" (spec "greedy-j2" Explore.Policy.Greedy 2) in
-  let _ = sweep "bandit/j2" (spec "bandit-j2" Explore.Policy.Bandit 2) in
-  let identical =
-    fronts_identical (Filename.concat root "greedy-j1") (Filename.concat root "greedy-j2")
-  in
+  let p1 = sweep "j1" (spec "j1" 1) in
+  let _ = sweep "j2" (spec "j2" 2) in
+  let identical = fronts_identical (Filename.concat root "j1") (Filename.concat root "j2") in
   Printf.printf "determinism: jobs=1 vs jobs=2 front files %s\n%!"
     (if identical then "byte-identical" else "DIFFER");
-  let total = pg.Explore.Sweep.total in
-  let points dir =
-    Explore.Store.completed ~dir:(Filename.concat root dir) ~total
+  let total = p1.Explore.Sweep.total in
+  let points =
+    Explore.Store.completed ~dir:(Filename.concat root "j1") ~total
     |> Array.map (function
          | Some r -> r
          | None ->
-             Printf.eprintf "explore bench: incomplete sweep in %s\n" dir;
+             Printf.eprintf "explore bench: incomplete sweep\n";
              exit 1)
   in
-  let gp = points "greedy-j1" and bp = points "bandit-j2" in
   let ratio (r : Explore.Store.result) =
     float_of_int r.Explore.Store.ands /. float_of_int (max 1 r.Explore.Store.orig_ands)
   in
-  let mean_ratio ps = mean (Array.to_list (Array.map ratio ps)) in
-  let g_ratio = mean_ratio gp and b_ratio = mean_ratio bp in
-  let eff ps =
-    let applied =
-      Array.fold_left (fun n r -> n + r.Explore.Store.applied) 0 ps
-    and scored = Array.fold_left (fun n r -> n + r.Explore.Store.scored) 0 ps in
-    1000.0 *. float_of_int applied /. float_of_int (max 1 scored)
-  in
-  let g_eff = eff gp and b_eff = eff bp in
-  let improvement_pp = pct (g_ratio -. b_ratio) in
-  Printf.printf
-    "corpus mean area ratio: greedy %.2f%%, bandit %.2f%% (improvement %+.2fpp)\n%!"
-    (pct g_ratio) (pct b_ratio) improvement_pp;
-  Printf.printf
-    "selection efficiency: greedy %.2f accepts/kcand, bandit %.2f accepts/kcand\n%!"
-    g_eff b_eff;
-  (* Per-arm counters from one representative bandit run (the largest
-     budget of the first benchmark): what the bandit actually learned. *)
-  let arm_stats =
-    let e = Option.get (Circuits.Suite.find (List.hd benchmarks)) in
-    let g = Graph.compact (e.Circuits.Suite.build ()) in
-    let config =
-      {
-        (Core.Config.default ~metric:Metrics.Er ~threshold:0.05) with
-        Core.Config.seed = 1;
-        eval_rounds = e_rounds;
-        max_iters = e_iters;
-        policy = Explore.Policy.make Explore.Policy.Bandit;
-      }
-    in
-    let _, report = Core.Flow.run ~config g in
-    match report.Core.Flow.policy with
-    | Some p -> Array.to_list p.Core.Flow.arm_stats
-    | None -> []
-  in
-  let row i =
-    let g = gp.(i) and b = bp.(i) in
+  let mean_ratio = mean (Array.to_list (Array.map ratio points)) in
+  let applied = Array.fold_left (fun n r -> n + r.Explore.Store.applied) 0 points
+  and scored = Array.fold_left (fun n r -> n + r.Explore.Store.scored) 0 points in
+  let eff = 1000.0 *. float_of_int applied /. float_of_int (max 1 scored) in
+  Printf.printf "corpus mean area ratio %.2f%%, selection efficiency %.2f accepts/kcand\n%!"
+    (pct mean_ratio) eff;
+  let row (r : Explore.Store.result) =
     Printf.sprintf
       "  {\"bench\": \"%s\", \"metric\": \"%s\", \"budget\": %g, \"orig_ands\": %d, \
-       \"greedy_ands\": %d, \"bandit_ands\": %d, \"greedy_applied\": %d, \
-       \"bandit_applied\": %d, \"greedy_scored\": %d, \"bandit_scored\": %d}"
-      g.Explore.Store.bench
-      (Metrics.kind_to_string g.Explore.Store.metric)
-      g.Explore.Store.budget g.Explore.Store.orig_ands g.Explore.Store.ands
-      b.Explore.Store.ands g.Explore.Store.applied b.Explore.Store.applied
-      g.Explore.Store.scored b.Explore.Store.scored
-  in
-  let arm (a : Core.Flow.arm_stat) =
-    Printf.sprintf
-      "  {\"arm\": %d, \"first_choice\": %d, \"accepted\": %d, \"reward_sum\": %.4f}"
-      a.Core.Flow.arm a.Core.Flow.first_choice a.Core.Flow.accepted a.Core.Flow.reward_sum
+       \"ands\": %d, \"applied\": %d, \"scored\": %d}"
+      r.Explore.Store.bench
+      (Metrics.kind_to_string r.Explore.Store.metric)
+      r.Explore.Store.budget r.Explore.Store.orig_ands r.Explore.Store.ands
+      r.Explore.Store.applied r.Explore.Store.scored
   in
   let out = open_out "BENCH_explore.json" in
   Printf.fprintf out
     "{\"mode\": \"%s\", \"determinism_fronts_identical\": %b,\n\
-    \ \"greedy_mean_area_ratio\": %.4f, \"bandit_mean_area_ratio\": %.4f,\n\
-    \ \"policy_improvement_pp\": %.3f,\n\
-    \ \"greedy_accepts_per_kcand\": %.2f, \"bandit_accepts_per_kcand\": %.2f,\n\
-     \"rows\": [\n%s\n],\n\"bandit_arms\": [\n%s\n]}\n"
+    \ \"mean_area_ratio\": %.4f, \"accepts_per_kcand\": %.2f,\n\
+     \"rows\": [\n%s\n]}\n"
     (if smoke_mode then "smoke" else "full")
-    identical g_ratio b_ratio improvement_pp g_eff b_eff
-    (String.concat ",\n" (List.map row (List.init total Fun.id)))
-    (String.concat ",\n" (List.map arm arm_stats));
+    identical mean_ratio eff
+    (String.concat ",\n" (Array.to_list (Array.map row points)));
   close_out out;
   Printf.printf "wrote BENCH_explore.json\n%!";
   rm_rf root;

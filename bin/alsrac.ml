@@ -168,13 +168,8 @@ let eval_cmd original approx metric sample distr =
 
 (* ---------- approx ---------- *)
 
-let parse_policy p =
-  match Explore.Policy.kind_of_string p with
-  | Some k -> Ok k
-  | None -> Error (`Msg (Printf.sprintf "unknown policy %s (greedy|bandit)" p))
-
 let approx_cmd spec metric threshold method_ seed eval_rounds mapping output journal
-    resume guard certify exact_resub jobs policy distr max_error =
+    resume guard certify exact_resub jobs distr max_error =
   let* metric = parse_metric metric in
   (* [--max-error E] is worst-case sugar: budget E on the maximum error,
      defaulting the metric to maxed unless a max metric was named
@@ -188,7 +183,6 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
         else Ok (Errest.Metrics.Maxed, e)
   in
   let* distr = parse_distr distr in
-  let* policy = parse_policy policy in
   let* g = load spec in
   let original = Aig.Graph.compact g in
   let* () = check_distr_npis distr original in
@@ -218,11 +212,6 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
       Error (`Msg "--exact-resub is only supported with --method alsrac")
     else Ok ()
   in
-  let* () =
-    if policy <> Explore.Policy.Greedy && method_ <> "alsrac" then
-      Error (`Msg "--policy is only supported with --method alsrac")
-    else Ok ()
-  in
   let* approx =
     match method_ with
     | "alsrac" ->
@@ -234,8 +223,7 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
             certify_exact = certify;
             exact_resub;
             distr;
-            jobs = Option.value jobs ~default:1;
-            policy = Explore.Policy.make policy }
+            jobs = Option.value jobs ~default:1 }
         in
         let* a, r =
           failure_to_msg @@ fun () ->
@@ -246,10 +234,8 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
                    threshold, seed and the rest come from the original run.
                    [--jobs] is the exception — the pool size is execution
                    policy and results are jobs-invariant, so a resume may
-                   use any pool size.  A fresh bandit hook is always on
-                   offer; the journal binds it only when the manifest names
-                   the bandit, and restores its checkpointed state. *)
-                Core.Flow.resume ?jobs ~policy:(Explore.Policy.hook ()) dir
+                   use any pool size. *)
+                Core.Flow.resume ?jobs dir
             | None -> Core.Flow.run ?journal ~config g)
         in
         Printf.printf "alsrac: %d LACs applied%s, sampled %s = %s\n"
@@ -301,21 +287,6 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
               s.Core.Resub_exact.derived s.Core.Resub_exact.sim_refuted
               s.Core.Resub_exact.cec_undecided s.Core.Resub_exact.cec_refuted
               s.Core.Resub_exact.batch.Errest.Batch.scored
-        | None -> ());
-        (match r.Core.Flow.policy with
-        | Some p ->
-            let active =
-              Array.to_list p.Core.Flow.arm_stats
-              |> List.filter (fun (a : Core.Flow.arm_stat) -> a.Core.Flow.accepted > 0)
-            in
-            Printf.printf "policy %s: accepted per arm %s\n" p.Core.Flow.policy_name
-              (if active = [] then "(none)"
-               else
-                 String.concat ", "
-                   (List.map
-                      (fun (a : Core.Flow.arm_stat) ->
-                        Printf.sprintf "%d:%d" a.Core.Flow.arm a.Core.Flow.accepted)
-                      active))
         | None -> ());
         if Array.length r.Core.Flow.pool > 1 then begin
           Printf.printf "parallel: %s (wall %.1fs, cpu %.1fs)\n"
@@ -433,12 +404,11 @@ let map_cmd spec target output =
 
 (* ---------- explore ---------- *)
 
-let explore_cmd dir benchmarks ladder policy seed eval_rounds max_iters shards shard_id
-    jobs quiet distr =
+let explore_cmd dir benchmarks ladder seed eval_rounds max_iters shards shard_id jobs
+    quiet distr =
   let* ladders =
     match Explore.Ladder.parse ladder with Ok l -> Ok l | Error e -> Error (`Msg e)
   in
-  let* policy = parse_policy policy in
   let* distr = parse_distr distr in
   let spec =
     {
@@ -448,7 +418,6 @@ let explore_cmd dir benchmarks ladder policy seed eval_rounds max_iters shards s
         |> List.map String.trim
         |> List.filter (fun b -> b <> "");
       ladders;
-      policy;
       seed;
       eval_rounds;
       max_iters;
@@ -710,22 +679,14 @@ let eval_term =
 let eval_cmd' =
   Cmd.v (Cmd.info "eval" ~doc:"Measure the error between two circuits") eval_term
 
-let policy_arg =
-  Arg.(value & opt string "greedy" & info [ "policy" ] ~docv:"POLICY"
-         ~doc:"Candidate-selection policy: greedy (smallest error first, the \
-               paper's order) or bandit (UCB1 over transform-family x \
-               node-depth arms, learning which candidate kinds pay off).  \
-               Deterministic either way; the bandit's state is journaled, so \
-               killed runs resume to the identical result.")
-
 let approx_term =
   Term.(
     const
       (fun spec metric threshold method_ seed eval_rounds mapping output journal resume
-           guard certify exact_resub jobs policy distr max_error ->
+           guard certify exact_resub jobs distr max_error ->
         exits_of_result
           (approx_cmd spec metric threshold method_ seed eval_rounds mapping output
-             journal resume guard certify exact_resub jobs policy distr max_error))
+             journal resume guard certify exact_resub jobs distr max_error))
     $ circuit_arg $ metric_arg
     $ Arg.(value & opt float 0.01 & info [ "t"; "threshold" ] ~docv:"E"
              ~doc:"Error threshold (fraction, e.g. 0.01 for 1%).")
@@ -766,7 +727,6 @@ let approx_term =
                    N > 1 spawns N-1 worker domains.  Results are bit-identical \
                    at every setting, so $(docv) may also differ between a \
                    journaled run and its $(b,--resume).")
-    $ policy_arg
     $ distr_arg
     $ Arg.(value & opt (some float) None & info [ "max-error" ] ~docv:"E"
              ~doc:"Worst-case constraint sugar: synthesize under a maximum \
@@ -815,11 +775,11 @@ let map_cmd' = Cmd.v (Cmd.info "map" ~doc:"Technology mapping (LUT or standard c
 let explore_term =
   Term.(
     const
-      (fun dir benchmarks ladder policy seed eval_rounds max_iters shards shard_id jobs
-           quiet distr ->
+      (fun dir benchmarks ladder seed eval_rounds max_iters shards shard_id jobs quiet
+           distr ->
         exits_of_result
-          (explore_cmd dir benchmarks ladder policy seed eval_rounds max_iters shards
-             shard_id jobs quiet distr))
+          (explore_cmd dir benchmarks ladder seed eval_rounds max_iters shards shard_id
+             jobs quiet distr))
     $ Arg.(required & opt (some string) None & info [ "d"; "dir" ] ~docv:"DIR"
              ~doc:"Sweep directory: manifest, per-point results and Pareto front \
                    files live here.  Restarting onto an existing directory \
@@ -832,7 +792,6 @@ let explore_term =
              ~doc:"Error-budget ladders: semicolon-separated metric=b1,b2,... \
                    groups, e.g. $(b,er=0.01,0.03;nmed=0.001), or $(b,default) \
                    for the paper-shaped ER/NMED/MRED sweep.")
-    $ policy_arg
     $ Arg.(value & opt int 1 & info [ "seed" ] ~docv:"S"
              ~doc:"Base PRNG seed; point $(i,i) runs the flow with seed S+i.")
     $ Arg.(value & opt int 4096 & info [ "eval-rounds" ] ~docv:"N"

@@ -4,7 +4,7 @@ type entry = Unseen | Value of bool | Conflict
 
 type t = { divisors : int array; table : entry array; care_count : int }
 
-let scan ?mask ~sigs ~node ~divisors ~rounds () =
+let scan ~sigs ~node ~divisors ~rounds () =
   let k = Array.length divisors in
   if k > Logic.Truth.max_vars then invalid_arg "Care.scan: too many divisors";
   (* A target among its own divisors would "resubstitute" a node by itself —
@@ -27,11 +27,7 @@ let scan ?mask ~sigs ~node ~divisors ~rounds () =
   in
   let num_words = ((rounds - 1) / wb) + 1 in
   let full = Bitvec.word_mask in
-  let mask_words = Option.map Bitvec.unsafe_words mask in
-  let valid_of w base =
-    let v = if rounds - base >= wb then full else (1 lsl (rounds - base)) - 1 in
-    match mask_words with None -> v | Some mw -> v land mw.(w)
-  in
+  let valid_of base = if rounds - base >= wb then full else (1 lsl (rounds - base)) - 1 in
   (* Word-parallel presence/conflict detection: for each divisor tuple,
      build the mask of rounds exhibiting it and compare the target bits
      under the mask — O(words) instead of O(rounds). *)
@@ -50,7 +46,7 @@ let scan ?mask ~sigs ~node ~divisors ~rounds () =
       let d0 = div_words.(0) in
       for w = 0 to num_words - 1 do
         let base = w * wb in
-        let valid = valid_of w base in
+        let valid = valid_of base in
         let dw = d0.(w) and nw = node_words.(w) in
         record_masked 0 (lnot dw land valid) nw;
         record_masked 1 (dw land valid) nw
@@ -59,7 +55,7 @@ let scan ?mask ~sigs ~node ~divisors ~rounds () =
       let d0 = div_words.(0) and d1 = div_words.(1) in
       for w = 0 to num_words - 1 do
         let base = w * wb in
-        let valid = valid_of w base in
+        let valid = valid_of base in
         let dw0 = d0.(w) and dw1 = d1.(w) and nw = node_words.(w) in
         record_masked 0 (lnot dw0 land lnot dw1 land valid) nw;
         record_masked 1 (dw0 land lnot dw1 land valid) nw;
@@ -70,7 +66,7 @@ let scan ?mask ~sigs ~node ~divisors ~rounds () =
       for w = 0 to num_words - 1 do
         let base = w * wb in
         let limit = min wb (rounds - base) in
-        let valid = valid_of w base in
+        let valid = valid_of base in
         let nw = node_words.(w) in
         for off = 0 to limit - 1 do
           if (valid lsr off) land 1 = 1 then begin

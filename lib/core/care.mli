@@ -17,7 +17,6 @@ type t = {
 }
 
 val scan :
-  ?mask:Logic.Bitvec.t ->
   sigs:Logic.Bitvec.t array ->
   node:int ->
   divisors:int array ->
@@ -26,13 +25,7 @@ val scan :
   t
 (** [sigs] are per-node signatures of at least [rounds] bits (typically from
     {!Sim.Engine.simulate} on the care pattern set).  At most
-    {!Logic.Truth.max_vars} divisors.
-
-    [mask] restricts the scan to the rounds whose bit is set: with an
-    observability mask (see {!Errest.Observability}) this yields the
-    ODC-aware approximate care set — rounds on which the target's value
-    cannot reach an output impose no constraint (an extension beyond the
-    paper, off by default; see DESIGN.md §5). *)
+    {!Logic.Truth.max_vars} divisors. *)
 
 val care_tuples : t -> int list
 (** Observed tuples, ascending. *)

@@ -1,19 +1,5 @@
 type resyn_level = No_resyn | Light | Compress2
 
-type policy_hook = {
-  policy_name : string;
-  arms : int;
-  classify : depth_frac:float -> ndivisors:int -> int;
-  choose : unit -> int array;
-  feed : arm:int -> reward:float -> unit;
-  policy_state : unit -> string;
-  restore_state : string -> unit;
-}
-
-type policy = Greedy | Hook of policy_hook
-
-let policy_name = function Greedy -> "greedy" | Hook h -> h.policy_name
-
 type t = {
   metric : Errest.Metrics.kind;
   threshold : float;
@@ -32,7 +18,6 @@ type t = {
   distr : Errest.Distr.t;
   input_probs : float array option;
   max_depth_growth : float;
-  use_odc : bool;
   guard : bool;
   guard_tol : float;
   confidence : float;
@@ -40,7 +25,6 @@ type t = {
   exact_resub : bool;
   fault : Fault.plan;
   jobs : int;
-  policy : policy;
 }
 
 let default ~metric ~threshold =
@@ -62,7 +46,6 @@ let default ~metric ~threshold =
     distr = Errest.Distr.Unif;
     input_probs = None;
     max_depth_growth = 1.3;
-    use_odc = false;
     guard = true;
     guard_tol = 1e-9;
     confidence = 0.999;
@@ -70,16 +53,14 @@ let default ~metric ~threshold =
     exact_resub = false;
     fault = Fault.none;
     jobs = 1;
-    policy = Greedy;
   }
 
 let pp ppf t =
   Format.fprintf ppf
-    "metric=%s threshold=%g N=%d L=%d t=%d r=%g eval=%d seed=%d jobs=%d policy=%s \
-     distr=%s"
+    "metric=%s threshold=%g N=%d L=%d t=%d r=%g eval=%d seed=%d jobs=%d distr=%s"
     (Errest.Metrics.kind_to_string t.metric)
     t.threshold t.sim_rounds t.lac_limit t.patience t.scale t.eval_rounds t.seed
-    t.jobs (policy_name t.policy)
+    t.jobs
     (match t.distr with
     | Errest.Distr.Unif -> "unif"
     | Errest.Distr.Enum { rows; _ } ->

@@ -2,42 +2,6 @@
 
 type resyn_level = No_resyn | Light | Compress2
 
-(** {1 Candidate-selection policy}
-
-    The flow's default candidate order is greedy: smallest induced error
-    first, ties broken by estimated gain.  A [policy_hook] lets a caller
-    (e.g. [Explore.Policy]'s UCB bandit) re-prioritize candidates by {e arm}
-    — a (transform family, node region) bucket — before each application
-    attempt.  The hook must be deterministic: [choose] may depend only on
-    the reward history it has been [feed], never on wall clock or external
-    randomness, so that runs (and journaled resumes, which restore the
-    hook's serialized state) stay reproducible. *)
-
-type policy_hook = {
-  policy_name : string;  (** persisted in journal manifests *)
-  arms : int;  (** number of arms; [classify] must return [0 .. arms-1] *)
-  classify : depth_frac:float -> ndivisors:int -> int;
-      (** arm of a candidate: [depth_frac] is the target node's level
-          divided by the current graph depth, [ndivisors] the candidate's
-          divisor count *)
-  choose : unit -> int array;
-      (** priority order over all arms (a permutation of [0 .. arms-1]);
-          candidates from earlier arms are attempted first *)
-  feed : arm:int -> reward:float -> unit;
-      (** reward in [0, 1] for one pull of [arm]: the flow feeds the
-          accepted candidate's arm with its area saving per scored
-          candidate, and the first-priority arm with 0 when an iteration
-          applies nothing *)
-  policy_state : unit -> string;
-      (** single-line serialization of the internal state, checkpointed by
-          {!Journal} alongside the RNG stream *)
-  restore_state : string -> unit;  (** inverse of [policy_state] *)
-}
-
-type policy = Greedy | Hook of policy_hook
-
-val policy_name : policy -> string
-
 type t = {
   metric : Errest.Metrics.kind;  (** error metric of the constraint *)
   threshold : float;  (** error threshold [E_t] *)
@@ -67,10 +31,6 @@ type t = {
       (** reject LACs that leave the circuit deeper than this factor times
           the original depth (the paper's results implicitly preserve
           delay); [infinity] disables the guard *)
-  use_odc : bool;
-      (** ODC-aware care sets: mask out care-simulation rounds on which the
-          target's value is (heuristically) unobservable at the outputs — an
-          extension beyond the paper, benched as an ablation *)
   guard : bool;
       (** guarded transforms: after every accepted LAC (and the final resyn
           pass), re-check structural invariants and probe the measured error
@@ -111,10 +71,6 @@ type t = {
           [n > 1] spawns [n - 1] worker domains.  Results are bit-identical
           at every setting ({!Parallel.Chunk}'s determinism contract), so
           [jobs] may differ between a journaled run and its resume. *)
-  policy : policy;
-      (** candidate-selection policy: [Greedy] (the paper's order) or an
-          adaptive [Hook].  Part of run identity — journaled by name, with
-          the hook's state checkpointed so resumes replay its decisions. *)
 }
 
 val default : metric:Errest.Metrics.kind -> threshold:float -> t

@@ -5,7 +5,7 @@ let ok (care : Care.t) =
 let check ~sigs ~node ~divisors ~rounds =
   ok (Care.scan ~sigs ~node ~divisors ~rounds ())
 
-let filter ?pool ?mask ~sigs ~node ~sets ~rounds () =
+let filter ?pool ~sigs ~node ~sets ~rounds () =
   let n = Array.length sets in
   let scanned =
     (* Per-set scans are pure functions of the (read-only) signatures, so
@@ -13,7 +13,7 @@ let filter ?pool ?mask ~sigs ~node ~sets ~rounds () =
        keeps them in submission order. *)
     Parallel.Chunk.map ?pool ~n (fun i ->
         let divisors = sets.(i) in
-        let care = Care.scan ?mask ~sigs ~node ~divisors ~rounds () in
+        let care = Care.scan ~sigs ~node ~divisors ~rounds () in
         if ok care then Some (divisors, care) else None)
   in
   Array.to_list scanned |> List.filter_map Fun.id

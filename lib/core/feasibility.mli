@@ -17,7 +17,6 @@ val check :
 
 val filter :
   ?pool:Parallel.Pool.t ->
-  ?mask:Logic.Bitvec.t ->
   sigs:Logic.Bitvec.t array ->
   node:int ->
   sets:int array array ->
@@ -27,5 +26,4 @@ val filter :
 (** Care-scan every divisor set of one target node and keep the feasible
     ones together with their scans, preserving the input order.  With
     [?pool] the (independent, read-only) scans run concurrently; the result
-    is identical at any pool size.  [?mask] is the node's ODC mask, as in
-    {!Care.scan}. *)
+    is identical at any pool size. *)

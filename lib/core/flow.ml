@@ -23,18 +23,6 @@ type certify = {
   lac_max_deviation : float;
 }
 
-type arm_stat = {
-  arm : int;
-  first_choice : int;
-  accepted : int;
-  reward_sum : float;
-}
-
-type policy_report = {
-  policy_name : string;
-  arm_stats : arm_stat array;
-}
-
 type bound_family = Hoeffding | Exhaustive | Max_miter
 
 type certificate = { upper : float; family : bound_family }
@@ -63,18 +51,11 @@ type report = {
   resub : Resub_exact.stats option;
   events : event list;
   certify : certify option;
-  policy : policy_report option;
 }
 
 let log_src = Logs.Src.create "alsrac.flow" ~doc:"ALSRAC flow progress"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
-
-let optimize ?resub (config : Config.t) g =
-  match config.resyn with
-  | Config.No_resyn -> Graph.compact g
-  | Config.Light -> Aig.Resyn.light g
-  | Config.Compress2 -> Aig.Resyn.compress2 ?resub g
 
 (* Pattern generation honouring the configured input distribution: under an
    enumerated distribution, care patterns are support rows sampled by
@@ -87,23 +68,16 @@ let gen_patterns rng (config : Config.t) ~npis ~len =
       | None -> Sim.Patterns.random rng ~npis ~len
       | Some probs -> Sim.Patterns.weighted rng ~probs ~len)
 
-(* Uniform-distribution evaluation patterns: exhaustive when the input space
-   is small enough, Monte-Carlo otherwise.  (An enumerated distribution is
-   evaluated on its support instead — see [eval_set].) *)
-let eval_patterns rng (config : Config.t) npis =
-  if
-    config.input_probs = None
-    && npis <= Sim.Patterns.exhaustive_limit
-    && 1 lsl npis <= config.eval_rounds
-  then Sim.Patterns.exhaustive ~npis
-  else gen_patterns rng config ~npis ~len:config.eval_rounds
-
-(* The evaluation sample and its per-round weights.  Enumerated
-   distributions are evaluated EXACTLY: one round per support row, terms
-   weighted by the row's probability — no Monte-Carlo error at all. *)
-let eval_set rng (config : Config.t) npis =
+(* The evaluation sample and its per-round weights.  Uniform: exhaustive
+   when [exhaustive], Monte-Carlo otherwise.  Enumerated distributions are
+   evaluated EXACTLY: one round per support row, terms weighted by the row's
+   probability — no Monte-Carlo error at all. *)
+let eval_set rng (config : Config.t) ~npis ~exhaustive =
   match config.distr with
-  | Errest.Distr.Unif -> (eval_patterns rng config npis, None)
+  | Errest.Distr.Unif ->
+      ( (if exhaustive then Sim.Patterns.exhaustive ~npis
+         else gen_patterns rng config ~npis ~len:config.eval_rounds),
+        None )
   | Errest.Distr.Enum _ as d ->
       (Errest.Distr.signatures d, Errest.Distr.round_weights d)
 
@@ -127,660 +101,579 @@ let fatal = function
 
 let max_recovered_exns = 50
 
-let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
-    ~(init : Journal.state option) g_start =
-  let t_start = Sys.time () in
-  let w_start = Parallel.Clock.now_s () in
+(* ---------- Loop state ----------
+
+   Everything the phases of one run share.  The run's fixed context comes
+   first.  [st] is the journaled part: restored verbatim on resume, updated
+   in place by the phases, checkpointed verbatim after every accepted LAC.
+   The mutable fields after it are per-process observations — like fault
+   plans they are not journaled, so a resumed run's counters cover the
+   resumed portion only. *)
+
+type loop = {
+  config : Config.t;
+  pool : Parallel.Pool.t;
+  journal : Journal.t option;
+  original : Graph.t;
+  npis : int;
+  exhaustive : bool;
+      (* uniform evaluation enumerates the whole input space, which makes the
+         sampled error the exact one *)
+  eval_pats : Bitvec.t array;
+  eval_weights : float array option;
+  golden : Bitvec.t array;  (* PO signatures of [original] on [eval_pats] *)
+  depth_limit : int;
+  (* Candidate-rebuild arena: [try_candidate] materializes one rebuilt graph
+     per tried candidate and throws most of them away at the cheap size
+     check, so the mapping scratch and the rejected graph's arrays are
+     recycled instead of re-allocated (steady state: zero allocation per
+     rejected candidate beyond what the strash folding itself demands). *)
+  rb : Graph.rebuilder;
+  st : Journal.state;
+  mutable g : Graph.t;  (* the last good graph *)
+  mutable stop : stop_reason option;  (* set when the loop must end *)
+  mutable scoring : Errest.Batch.stats;
+  mutable resub_stats : Resub_exact.stats;
+  mutable certify : certify;
+}
+
+let no_certify =
+  {
+    exact_checks = 0;
+    exact_confirmed = 0;
+    exact_undecided = 0;
+    exact_refuted = 0;
+    lac_rechecks = 0;
+    lac_recheck_failures = 0;
+    lac_max_deviation = 0.0;
+  }
+
+let setup ~(config : Config.t) ~pool ~journal ~original ~init g_start =
   let npis = Graph.num_pis original in
   (match Errest.Distr.validate_npis config.distr ~npis with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Flow: " ^ msg));
   let rng0 = Logic.Rng.create config.seed in
-  let eval_pats, eval_weights = eval_set (Logic.Rng.split rng0) config npis in
-  let golden = Sim.Engine.simulate_pos ~pool original eval_pats in
-  (* On resume the journal's RNG state supersedes the fresh stream: pattern
-     generation continues exactly where the interrupted run left off. *)
-  let rng =
-    match init with None -> rng0 | Some s -> Logic.Rng.of_state s.Journal.rng_state
+  let exhaustive =
+    config.input_probs = None
+    && npis <= Sim.Patterns.exhaustive_limit
+    && 1 lsl npis <= config.eval_rounds
   in
-  let g = ref g_start in
-  (* Candidate-rebuild arena: the loop below materializes one rebuilt graph
-     per tried candidate and throws most of them away at the cheap size
-     check, so the mapping scratch and the rejected graph's arrays are
-     recycled instead of re-allocated (steady state: zero allocation per
-     rejected candidate beyond what the strash folding itself demands). *)
-  let rb = Graph.rebuilder () in
+  let eval_pats, eval_weights = eval_set (Logic.Rng.split rng0) config ~npis ~exhaustive in
+  let golden = Sim.Engine.simulate_pos ~pool original eval_pats in
   let depth_limit =
     if config.max_depth_growth = infinity then max_int
     else
       int_of_float
         (ceil (config.max_depth_growth *. float_of_int (max 1 (Aig.Topo.depth original))))
   in
-  let field f default = match init with None -> default | Some s -> f s in
-  let rounds = ref (field (fun s -> s.Journal.rounds) config.sim_rounds) in
-  let patience = ref (field (fun s -> s.Journal.patience) 0) in
-  let shrinks_at_floor = ref (field (fun s -> s.Journal.shrinks_at_floor) 0) in
-  let applied = ref (field (fun s -> s.Journal.applied) 0) in
-  let iteration = ref (field (fun s -> s.Journal.iteration) 0) in
-  let events = ref (field (fun s -> s.Journal.events) []) in
-  let last_error = ref (field (fun s -> s.Journal.last_error) 0.0) in
-  let guard_rejects = ref (field (fun s -> s.Journal.guard_rejects) 0) in
-  let recovered_exns = ref (field (fun s -> s.Journal.recovered_exns) 0) in
-  let accepts_since_full = ref (field (fun s -> s.Journal.accepts_since_full) 0) in
-  let quarantine : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  field (fun s -> List.iter (fun h -> Hashtbl.replace quarantine h ()) s.Journal.quarantined) ();
-  (* Certification counters are per-process observations (like fault plans,
-     they are not journaled): a resumed run's verdicts cover the resumed
-     portion only. *)
-  (* Scoring-kernel counters (same per-process policy as the certification
-     counters below: observational, not journaled). *)
-  let scoring = ref Errest.Batch.zero_stats in
-  (* Exact-resubstitution pass ([Config.exact_resub]): threaded into every
-     [Compress2] invocation as [Aig.Resyn]'s fourth pass.  Exact and
-     self-certifying (every commit is CEC-proven inside [Resub_exact]), so
-     the guard's "error is bit-for-bit unchanged" contract still holds.
-     Deterministic in the config seed alone — a resumed run re-derives the
-     same passes, keeping resume byte-identity.  Counters are per-process,
-     like [scoring]. *)
-  let resub_stats = ref Resub_exact.zero_stats in
-  let resub =
-    if config.exact_resub then
-      Some
-        (fun g ->
-          let g', st =
-            Resub_exact.run ~pool
-              ~config:{ Resub_exact.default with Resub_exact.seed = config.seed }
-              g
-          in
-          resub_stats := Resub_exact.add_stats !resub_stats st;
-          g')
-    else None
-  in
-  (* Per-arm policy counters (observational).  The hook's own reward state,
-     by contrast, IS journaled — restored here so a resumed run replays the
-     uninterrupted run's arm choices exactly. *)
-  let pol_first, pol_accepted, pol_reward =
-    match config.policy with
-    | Config.Hook h ->
-        (Array.make h.Config.arms 0, Array.make h.Config.arms 0,
-         Array.make h.Config.arms 0.0)
-    | Config.Greedy -> ([||], [||], [||])
-  in
-  (match (config.policy, init) with
-  | Config.Hook h, Some s when s.Journal.policy_state <> "" ->
-      h.Config.restore_state s.Journal.policy_state
-  | _ -> ());
-  let cert_exact_checks = ref 0
-  and cert_exact_confirmed = ref 0
-  and cert_exact_undecided = ref 0
-  and cert_exact_refuted = ref 0
-  and cert_lac_rechecks = ref 0
-  and cert_lac_failures = ref 0
-  and cert_lac_maxdev = ref 0.0 in
-  (* Miter-check one exact-transform application.  Bounded effort: verdicts
-     the portfolio cannot decide are counted, not guessed.  The check is
-     sequential and draws no randomness from the run's stream, so it cannot
-     perturb the flow's results at any [jobs] setting. *)
-  let certify_exact_step what before after =
-    if config.certify_exact then begin
-      incr cert_exact_checks;
-      match
-        Verify.Cec.run ~seed:(config.seed + 0x5EED) ~rounds:512
-          ~effort:Verify.Cec.Fast before after
-      with
-      | Verify.Cec.Equivalent -> incr cert_exact_confirmed
+  {
+    config;
+    pool;
+    journal;
+    original;
+    npis;
+    exhaustive;
+    eval_pats;
+    eval_weights;
+    golden;
+    depth_limit;
+    rb = Graph.rebuilder ();
+    (* On resume the journal's state — RNG stream position included —
+       supersedes the fresh one: pattern generation continues exactly where
+       the interrupted run left off. *)
+    st =
+      (match init with
+      | Some s -> s
+      | None -> Journal.fresh ~rng:rng0 ~rounds:config.sim_rounds);
+    g = g_start;
+    stop = None;
+    scoring = Errest.Batch.zero_stats;
+    resub_stats = Resub_exact.zero_stats;
+    certify = no_certify;
+  }
+
+let eval_len l =
+  if Array.length l.eval_pats > 0 then Bitvec.length l.eval_pats.(0)
+  else l.config.eval_rounds
+
+let measure_error l g' =
+  Errest.Metrics.measure ?weights:l.eval_weights l.config.metric ~golden:l.golden
+    ~approx:(Sim.Engine.simulate_pos ~pool:l.pool g' l.eval_pats)
+
+(* ---------- Exact transforms: resynthesis, certification, guard ---------- *)
+
+(* Miter-check one exact-transform application ([Config.certify_exact]).
+   Bounded effort: verdicts the portfolio cannot decide are counted, not
+   guessed.  The check is sequential and draws no randomness from the run's
+   stream, so it cannot perturb the flow's results at any [jobs] setting. *)
+let certify_exact_step l what before after =
+  if l.config.certify_exact then begin
+    let c = { l.certify with exact_checks = l.certify.exact_checks + 1 } in
+    l.certify <-
+      (match
+         Verify.Cec.run ~seed:(l.config.seed + 0x5EED) ~rounds:512
+           ~effort:Verify.Cec.Fast before after
+       with
+      | Verify.Cec.Equivalent -> { c with exact_confirmed = c.exact_confirmed + 1 }
       | Verify.Cec.Undecided msg ->
-          incr cert_exact_undecided;
-          Log.debug (fun m -> m "certify: %s left undecided (%s)" what msg)
+          Log.debug (fun m -> m "certify: %s left undecided (%s)" what msg);
+          { c with exact_undecided = c.exact_undecided + 1 }
       | Verify.Cec.Inequivalent cex ->
-          incr cert_exact_refuted;
           Log.err (fun m ->
               m "certify: exact transform %s is NOT function-preserving (PO %d)" what
-                cex.Verify.Cec.po)
-    end
-  in
-  (match init with
-  | None ->
-      let optimized = optimize ?resub config g_start in
-      certify_exact_step "initial resyn" g_start optimized;
-      g := optimized
-  | Some _ -> ());
-  let finished = ref false in
-  let stop_reason = ref Max_iters in
-  let snapshot () =
-    {
-      Journal.rng_state = Logic.Rng.state rng;
-      rounds = !rounds;
-      patience = !patience;
-      shrinks_at_floor = !shrinks_at_floor;
-      applied = !applied;
-      iteration = !iteration;
-      accepts_since_full = !accepts_since_full;
-      last_error = !last_error;
-      guard_rejects = !guard_rejects;
-      recovered_exns = !recovered_exns;
-      quarantined =
-        List.sort compare (Hashtbl.fold (fun h () acc -> h :: acc) quarantine []);
-      policy_state =
-        (match config.policy with
-        | Config.Hook h -> h.Config.policy_state ()
-        | Config.Greedy -> "");
-      events = !events;
-    }
-  in
-  let measure_error g' =
-    Errest.Metrics.measure ?weights:eval_weights config.metric ~golden
-      ~approx:(Sim.Engine.simulate_pos ~pool g' eval_pats)
-  in
-  (* The guard: a candidate graph is kept only if it passes the structural
-     invariants AND a signature-consistency probe — every transform between
-     prediction and commit is exact, so the re-measured error must agree
-     with the predicted one (within float-summation noise).  Returns the
-     violation, if any. *)
-  let guard_violation g' ~predicted =
-    if not config.guard then None
-    else if Graph.num_pis g' <> npis || Graph.num_pos g' <> Graph.num_pos original then
-      Some "PI/PO interface changed"
-    else
-      match Aig.Check.check g' with
-      | Error msg -> Some msg
-      | Ok () ->
-          let measured = measure_error g' in
-          if Float.abs (measured -. predicted) > config.guard_tol then
-            Some
-              (Printf.sprintf "signature probe: measured %.9g vs predicted %.9g"
-                 measured predicted)
-          else None
-  in
-  (* Under Compress2, the full pipeline runs every tenth accepted LAC and at
-     the end; the cheap sweep+balance runs in between.  This keeps the large
-     arithmetic circuits tractable without giving up the final quality. *)
-  let optimize_step replaced =
-    let optimized =
-      match config.resyn with
-      | Config.No_resyn -> Graph.compact replaced
-      | Config.Light -> Aig.Resyn.light replaced
-      | Config.Compress2 ->
-          incr accepts_since_full;
-          if !accepts_since_full >= 10 then begin
-            accepts_since_full := 0;
-            Aig.Resyn.compress2 ?resub replaced
-          end
-          else Aig.Resyn.light replaced
-    in
-    certify_exact_step "inter-iteration resyn" replaced optimized;
-    optimized
-  in
-  let shrink_rounds () =
-    incr patience;
-    if !patience >= config.patience then begin
-      patience := 0;
-      if !rounds > config.min_rounds then
-        rounds := max config.min_rounds (int_of_float (float_of_int !rounds *. config.scale))
-      else begin
-        incr shrinks_at_floor;
-        if !shrinks_at_floor > 3 then begin
-          stop_reason := Stalled;
-          finished := true
+                cex.Verify.Cec.po);
+          { c with exact_refuted = c.exact_refuted + 1 })
+  end
+
+(* Exact-resubstitution pass ([Config.exact_resub]): threaded into every
+   [Compress2] invocation as [Aig.Resyn]'s fourth pass.  Exact and
+   self-certifying (every commit is CEC-proven inside [Resub_exact]), so
+   the guard's "error is bit-for-bit unchanged" contract still holds.
+   Deterministic in the config seed alone — a resumed run re-derives the
+   same passes, keeping resume byte-identity. *)
+let resub_pass l =
+  if l.config.exact_resub then
+    Some
+      (fun g ->
+        let g', st =
+          Resub_exact.run ~pool:l.pool
+            ~config:{ Resub_exact.default with Resub_exact.seed = l.config.seed }
+            g
+        in
+        l.resub_stats <- Resub_exact.add_stats l.resub_stats st;
+        g')
+  else None
+
+(* Algorithm 3 line 9.  The [initial] pass runs the configured level in
+   full.  After that, under Compress2, the full pipeline runs on every tenth
+   candidate that reaches resynthesis, and the cheap sweep+balance on the
+   others; the final hand-off ([hand_off]) runs it once more.  This keeps
+   the large arithmetic circuits tractable without giving up the final
+   quality. *)
+let optimize l ~initial g =
+  let optimized =
+    match l.config.resyn with
+    | Config.No_resyn -> Graph.compact g
+    | Config.Light -> Aig.Resyn.light g
+    | Config.Compress2 when initial -> Aig.Resyn.compress2 ?resub:(resub_pass l) g
+    | Config.Compress2 ->
+        l.st.accepts_since_full <- l.st.accepts_since_full + 1;
+        if l.st.accepts_since_full >= 10 then begin
+          l.st.accepts_since_full <- 0;
+          Aig.Resyn.compress2 ?resub:(resub_pass l) g
         end
-      end
-    end
+        else Aig.Resyn.light g
   in
-  let iteration_body () =
-    let care_pats = gen_patterns rng config ~npis ~len:!rounds in
-    let care_sigs = Sim.Engine.simulate ~pool !g care_pats in
-    if Fault.should_raise config.fault ~iteration:!iteration then
-      raise (Fault.Injected (Printf.sprintf "injected exception at iteration %d" !iteration));
-    let obs =
-      if config.use_odc then Some (Errest.Observability.masks !g ~sigs:care_sigs)
-      else None
-    in
-    let lacs = Lac.generate ?obs ~pool !g ~config ~sigs:care_sigs ~rounds:!rounds in
-    if lacs = [] then
-      (* Algorithm 3 line 10: only after [t] consecutive empty iterations is
-         the care set shrunk; fresh patterns alone may unblock us. *)
-      shrink_rounds ()
+  certify_exact_step l (if initial then "initial resyn" else "inter-iteration resyn") g
+    optimized;
+  optimized
+
+(* The guard: a candidate graph is kept only if it passes the structural
+   invariants AND a signature-consistency probe — every transform between
+   prediction and commit is exact, so the re-measured error must agree with
+   the predicted one (within float-summation noise).  Returns the
+   violation, if any. *)
+let guard_violation l g' ~predicted =
+  if not l.config.guard then None
+  else if
+    Graph.num_pis g' <> l.npis || Graph.num_pos g' <> Graph.num_pos l.original
+  then Some "PI/PO interface changed"
+  else
+    match Aig.Check.check g' with
+    | Error msg -> Some msg
+    | Ok () ->
+        let measured = measure_error l g' in
+        if Float.abs (measured -. predicted) > l.config.guard_tol then
+          Some
+            (Printf.sprintf "signature probe: measured %.9g vs predicted %.9g" measured
+               predicted)
+        else None
+
+(* ---------- Phases of one iteration ---------- *)
+
+(* Sample: fresh care patterns, [N] rounds of them, simulated on the current
+   graph (Algorithm 3 line 3).  The run's only draw from its RNG stream. *)
+let sample l =
+  let care_pats = gen_patterns l.st.rng l.config ~npis:l.npis ~len:l.st.rounds in
+  Sim.Engine.simulate ~pool:l.pool l.g care_pats
+
+(* Generate: LAC candidates from the approximate care set (Algorithm 2). *)
+let generate l care_sigs =
+  Lac.generate ~pool:l.pool l.g ~config:l.config ~sigs:care_sigs ~rounds:l.st.rounds
+
+(* Score and rank: every candidate's error against the ORIGINAL circuit on
+   the evaluation sample, best first.  Returns the current graph's
+   evaluation signatures along with the ranking. *)
+let score l lacs =
+  let base_sigs = Sim.Engine.simulate ~pool:l.pool l.g l.eval_pats in
+  (match Fault.flip_signatures l.config.fault ~iteration:l.st.iteration with
+  | Some bit ->
+      (* Soft-error model: skew every node's evaluation signature, so the
+         error predictions below no longer describe the real graph. *)
+      Array.iter
+        (fun s ->
+          let len = Bitvec.length s in
+          if len > 0 then begin
+            let b = bit mod len in
+            Bitvec.set s b (not (Bitvec.get s b))
+          end)
+        base_sigs
+  | None -> ());
+  (* Quarantined targets are dead to the run: a LAC on them already broke
+     the guard once. *)
+  let lac_arr =
+    List.filter
+      (fun (lac : Lac.t) ->
+        not (List.mem (sig_hash base_sigs.(lac.Lac.target)) l.st.quarantined))
+      lacs
+    |> Array.of_list
+  in
+  let batch =
+    Errest.Batch.create ?weights:l.eval_weights l.g ~metric:l.config.metric
+      ~golden:l.golden ~base:base_sigs
+  in
+  (* Candidate scoring is the hottest loop of a flow iteration: fan it
+     across the pool.  [candidate_errors] is bit-identical to the sequential
+     scoring at any pool size, so the ranking below — and with it the whole
+     run — is too. *)
+  let specs =
+    Array.map
+      (fun (lac : Lac.t) ->
+        let pos_sigs = Array.map (fun d -> base_sigs.(d)) lac.Lac.divisors in
+        (lac.Lac.target, Logic.Cover.eval_sigs lac.Lac.cover ~pos_sigs))
+      lac_arr
+  in
+  let errs = Errest.Batch.candidate_errors ~pool:l.pool batch specs in
+  l.scoring <- Errest.Batch.add_stats l.scoring (Errest.Batch.stats batch);
+  (* Best LAC = smallest induced error, ties broken by estimated gain
+     (Algorithm 3 line 6). *)
+  let ranked =
+    List.sort
+      (fun (e1, (l1 : Lac.t)) (e2, (l2 : Lac.t)) ->
+        let c = compare e1 e2 in
+        if c <> 0 then c else compare l2.Lac.gain l1.Lac.gain)
+      (Array.to_list (Array.mapi (fun i lac -> (errs.(i), lac)) lac_arr))
+  in
+  (base_sigs, ranked)
+
+(* Independent cross-check of an accepted LAC ([Config.certify_exact]): its
+   predicted error must re-measure consistently on a pattern set the flow
+   never saw.  The recheck RNG is derived from (seed, iteration), never from
+   the run's stream, so journaled resumes are unaffected. *)
+let recheck l ~err (lac : Lac.t) optimized =
+  let config = l.config in
+  let pats, weights =
+    match config.distr with
+    | Errest.Distr.Enum _ ->
+        (* The exact support measurement itself: any deviation beyond
+           float-summation noise is a failure. *)
+        (l.eval_pats, l.eval_weights)
+    | Errest.Distr.Unif ->
+        let rng = Logic.Rng.create ((config.seed * 1_000_003) + l.st.iteration) in
+        (gen_patterns rng config ~npis:l.npis ~len:(max 64 config.eval_rounds), None)
+  in
+  let e2 =
+    Errest.Metrics.compare_graphs ?weights config.metric ~original:l.original
+      ~approx:optimized pats
+  in
+  let dev = Float.abs (e2 -. err) in
+  let tolerance =
+    match config.distr with
+    | Errest.Distr.Enum _ -> Some config.guard_tol
+    | Errest.Distr.Unif when Errest.Metrics.bounded_mean config.metric ->
+        (* Both estimates concentrate around the true error; their gap is
+           bounded by the sum of the two one-sided Hoeffding margins. *)
+        Some
+          (Errest.Certify.hoeffding_margin ~samples:(eval_len l) ~confidence:0.9999
+          +. Errest.Certify.hoeffding_margin ~samples:(max 64 config.eval_rounds)
+               ~confidence:0.9999)
+    | Errest.Distr.Unif ->
+        (* Unbounded means and max metrics admit no such two-sample
+           tolerance: deviations are recorded in [lac_max_deviation], not
+           judged. *)
+        None
+  in
+  let failed =
+    match tolerance with
+    | Some tol when dev > tol ->
+        Log.err (fun m ->
+            m "certify: LAC on node %d re-simulates at %.6g vs predicted %.6g (tolerance %.3g)"
+              lac.Lac.target e2 err tol);
+        1
+    | Some _ | None -> 0
+  in
+  let c = l.certify in
+  l.certify <-
+    {
+      c with
+      lac_rechecks = c.lac_rechecks + 1;
+      lac_recheck_failures = c.lac_recheck_failures + failed;
+      lac_max_deviation = (if dev > c.lac_max_deviation then dev else c.lac_max_deviation);
+    }
+
+(* Commit: the candidate becomes the last good graph. *)
+let commit l ~err (lac : Lac.t) optimized =
+  l.g <- optimized;
+  l.st.applied <- l.st.applied + 1;
+  if l.config.certify_exact && l.npis > 0 then recheck l ~err lac optimized;
+  l.st.events <-
+    {
+      iteration = l.st.iteration;
+      target = lac.Lac.target;
+      est_error = err;
+      ands_after = Graph.num_ands l.g;
+      rounds = l.st.rounds;
+    }
+    :: l.st.events;
+  Log.debug (fun m ->
+      m "iter %d: applied LAC on node %d, err %.5f, ands %d" l.st.iteration lac.Lac.target
+        err (Graph.num_ands l.g))
+
+(* Roll back (the candidate graph is simply dropped) and quarantine the
+   target for the rest of the run. *)
+let quarantine l ~base_sigs (lac : Lac.t) violation =
+  l.st.guard_rejects <- l.st.guard_rejects + 1;
+  let h = sig_hash base_sigs.(lac.Lac.target) in
+  if not (List.mem h l.st.quarantined) then
+    l.st.quarantined <- List.sort compare (h :: l.st.quarantined);
+  Log.warn (fun m ->
+      m "iter %d: guard rejected LAC on node %d (%s); rolled back" l.st.iteration
+        lac.Lac.target violation)
+
+(* Try one candidate: rebuild, resynthesize, guard, recheck, commit.
+   Returns whether it was committed. *)
+let try_candidate l ~base_sigs ~err (lac : Lac.t) replacement =
+  let replaced =
+    Graph.rebuild_with l.rb
+      ~replace:(fun id -> if id = lac.Lac.target then Some replacement else None)
+      l.g
+  in
+  (* Cheap progress check on the raw rebuild; the (expensive)
+     re-optimization runs only on candidates that pass it and can only
+     shrink further. *)
+  if Graph.num_ands replaced < Graph.num_ands l.g && Aig.Topo.depth replaced <= l.depth_limit
+  then begin
+    let optimized = optimize l ~initial:false replaced in
+    (* [optimize] copies into a fresh graph, so the raw rebuild is dead
+       either way from here on. *)
+    Graph.recycle l.rb replaced;
+    (* The optimizer itself may deepen (refactor trades depth for area);
+       guard the graph we would actually keep. *)
+    if Aig.Topo.depth optimized > l.depth_limit then false
+    else
+      match guard_violation l optimized ~predicted:err with
+      | Some violation ->
+          quarantine l ~base_sigs lac violation;
+          false
+      | None ->
+          commit l ~err lac optimized;
+          true
+  end
+  else begin
+    Graph.recycle l.rb replaced;
+    false
+  end
+
+(* Walk the ranking and accept the first candidate that actually shrinks
+   the graph: the gain estimate can be optimistic when the factored form
+   re-shares with live logic. *)
+let try_apply l ~base_sigs ranked =
+  let budget = l.config.threshold *. l.config.margin in
+  let corrupt_pending = ref (Fault.corrupt_lac l.config.fault ~iteration:l.st.iteration) in
+  let replacement (lac : Lac.t) =
+    if !corrupt_pending then begin
+      (* Injected ISOP corruption: commit a constant in place of the derived
+         function; the prediction still describes the true one, so the
+         guard must trip. *)
+      corrupt_pending := false;
+      let s = base_sigs.(lac.Lac.target) in
+      if 2 * Bitvec.popcount s > Bitvec.length s then Graph.Replace_lit Graph.const0
+      else Graph.Replace_lit Graph.const1
+    end
+    else Lac.replacement lac
+  in
+  let rec walk ~skipped = function
+    | [] -> `No_progress
+    | (err, _) :: _ when err > budget ->
+        (* Smallest remaining error exceeds the budget.  If that holds for
+           the very best candidate, terminate (Algorithm 3 line 7); if we
+           only got here by skipping no-op candidates, let fresh patterns
+           try again first. *)
+        if skipped then `No_progress else `Over_budget
+    | (err, lac) :: rest ->
+        if try_candidate l ~base_sigs ~err lac (replacement lac) then `Applied
+        else walk ~skipped:true rest
+  in
+  walk ~skipped:false ranked
+
+(* Checkpoint: the loop state and graph after an accepted LAC. *)
+let checkpoint l = Option.iter (fun j -> Journal.record j l.st l.g) l.journal
+
+(* Algorithm 3 line 10: only after [t] consecutive unproductive iterations
+   is the care set shrunk; fresh patterns alone may unblock us. *)
+let shrink_rounds l =
+  let st = l.st in
+  st.patience <- st.patience + 1;
+  if st.patience >= l.config.patience then begin
+    st.patience <- 0;
+    if st.rounds > l.config.min_rounds then
+      st.rounds <-
+        max l.config.min_rounds (int_of_float (float_of_int st.rounds *. l.config.scale))
     else begin
-      let base_sigs = Sim.Engine.simulate ~pool !g eval_pats in
-      (match Fault.flip_signatures config.fault ~iteration:!iteration with
-      | Some bit ->
-          (* Soft-error model: skew every node's evaluation signature, so the
-             error predictions below no longer describe the real graph. *)
-          Array.iter
-            (fun s ->
-              let len = Bitvec.length s in
-              if len > 0 then begin
-                let b = bit mod len in
-                Bitvec.set s b (not (Bitvec.get s b))
-              end)
-            base_sigs
-      | None -> ());
-      (* Quarantined targets are dead to the run: a LAC on them already broke
-         the guard once. *)
-      let lacs =
-        List.filter
-          (fun (lac : Lac.t) -> not (Hashtbl.mem quarantine (sig_hash base_sigs.(lac.Lac.target))))
-          lacs
-      in
-      let batch =
-        Errest.Batch.create ?weights:eval_weights !g ~metric:config.metric ~golden
-          ~base:base_sigs
-      in
-      (* Candidate scoring is the hottest loop of a flow iteration: fan it
-         across the pool.  [candidate_errors] is bit-identical to the
-         sequential scoring at any pool size, so the ranking below — and
-         with it the whole run — is too. *)
-      let lac_arr = Array.of_list lacs in
-      let specs =
-        Array.map
-          (fun (lac : Lac.t) ->
-            let pos_sigs = Array.map (fun d -> base_sigs.(d)) lac.Lac.divisors in
-            (lac.Lac.target, Logic.Cover.eval_sigs lac.Lac.cover ~pos_sigs))
-          lac_arr
-      in
-      let errs = Errest.Batch.candidate_errors ~pool batch specs in
-      scoring := Errest.Batch.add_stats !scoring (Errest.Batch.stats batch);
-      let scored =
-        Array.to_list (Array.mapi (fun i lac -> (errs.(i), lac)) lac_arr)
-      in
-      (* Best LAC = smallest induced error, ties broken by estimated gain
-         (Algorithm 3 line 6).  The estimate can still be optimistic when
-         the factored form re-shares with live logic, so walk the ranking
-         and accept the first candidate that actually shrinks the graph. *)
-      let ranked =
-        List.sort
-          (fun (e1, (l1 : Lac.t)) (e2, (l2 : Lac.t)) ->
-            let c = compare e1 e2 in
-            if c <> 0 then c else compare l2.Lac.gain l1.Lac.gain)
-          scored
-      in
-      (* Candidate-selection policy (DESIGN.md section 12).  Greedy is the
-         paper's order: the ranked list as-is, so the code path below is
-         bit-identical to the historical flow.  A policy hook re-prioritizes
-         the within-budget candidates by arm — (transform family, node
-         region) buckets — in the hook's chosen arm order, preserving the
-         greedy order inside each arm.  The budget-exhaustion decision
-         (Algorithm 3 line 7) always looks at the globally smallest error,
-         so a policy can never terminate a run the greedy order would have
-         continued. *)
-      let budget = config.threshold *. config.margin in
-      let ands_before = Graph.num_ands !g in
-      let accepted_arm = ref (-1) in
-      let first_arm = ref (-1) in
-      let ordered =
-        match config.policy with
-        | Config.Greedy -> List.map (fun (e, l) -> (e, l, -1)) ranked
-        | Config.Hook h ->
-            let min_err = match ranked with (e, _) :: _ -> e | [] -> infinity in
-            if min_err > budget then
-              (* Leave one over-budget candidate at the head: [try_apply]
-                 turns it into the same [`Over_budget] verdict greedy
-                 reaches. *)
-              List.map (fun (e, l) -> (e, l, -1)) ranked
-            else begin
-              let levels = Aig.Topo.levels !g in
-              let gdepth = float_of_int (max 1 (Aig.Topo.depth !g)) in
-              let with_arms =
-                List.filter_map
-                  (fun (e, (lac : Lac.t)) ->
-                    if e > budget then None
-                    else
-                      let depth_frac =
-                        float_of_int levels.(lac.Lac.target) /. gdepth
-                      in
-                      let a =
-                        h.Config.classify ~depth_frac
-                          ~ndivisors:(Array.length lac.Lac.divisors)
-                      in
-                      Some (e, lac, if a >= 0 && a < h.Config.arms then a else 0))
-                  ranked
-              in
-              let rank = Array.make h.Config.arms max_int in
-              Array.iteri
-                (fun i a -> if a >= 0 && a < h.Config.arms && rank.(a) = max_int then rank.(a) <- i)
-                (h.Config.choose ());
-              let ordered =
-                List.stable_sort
-                  (fun (_, _, a1) (_, _, a2) -> compare rank.(a1) rank.(a2))
-                  with_arms
-              in
-              (match ordered with
-              | (_, _, a) :: _ ->
-                  first_arm := a;
-                  pol_first.(a) <- pol_first.(a) + 1
-              | [] -> ());
-              ordered
-            end
-      in
-      let corrupt_pending = ref (Fault.corrupt_lac config.fault ~iteration:!iteration) in
-      let rec try_apply ~skipped = function
-        | [] -> `No_progress
-        | (err, _, _) :: _ when err > budget ->
-            (* Smallest remaining error exceeds the budget.  If that holds
-               for the very best candidate, terminate (Algorithm 3 line 7);
-               if we only got here by skipping no-op candidates, let fresh
-               patterns try again first. *)
-            if skipped then `No_progress else `Over_budget
-        | (err, (lac : Lac.t), arm) :: rest ->
-            let replacement =
-              if !corrupt_pending then begin
-                (* Injected ISOP corruption: commit a constant in place of
-                   the derived function; the prediction above still
-                   describes the true one, so the guard must trip. *)
-                corrupt_pending := false;
-                let s = base_sigs.(lac.Lac.target) in
-                if 2 * Bitvec.popcount s > Bitvec.length s then Graph.Replace_lit Graph.const0
-                else Graph.Replace_lit Graph.const1
-              end
-              else Lac.replacement lac
-            in
-            let replaced =
-              Graph.rebuild_with rb
-                ~replace:(fun id -> if id = lac.Lac.target then Some replacement else None)
-                !g
-            in
-            (* Cheap progress check on the raw rebuild; the (expensive)
-               re-optimization runs only on accepted candidates and can only
-               shrink further. *)
-            if
-              Graph.num_ands replaced < Graph.num_ands !g
-              && Aig.Topo.depth replaced <= depth_limit
-            then begin
-              let optimized = optimize_step replaced in
-              (* [optimize_step] copies into a fresh graph, so the raw
-                 rebuild is dead either way from here on. *)
-              Graph.recycle rb replaced;
-              (* The optimizer itself may deepen (refactor trades depth for
-                 area); guard the graph we would actually keep. *)
-              if Aig.Topo.depth optimized > depth_limit then try_apply ~skipped:true rest
-              else
-                match guard_violation optimized ~predicted:err with
-                | Some violation ->
-                    (* Roll back (the candidate graph is simply dropped) and
-                       quarantine the target for the rest of the run. *)
-                    incr guard_rejects;
-                    Hashtbl.replace quarantine (sig_hash base_sigs.(lac.Lac.target)) ();
-                    Log.warn (fun m ->
-                        m "iter %d: guard rejected LAC on node %d (%s); rolled back"
-                          !iteration lac.Lac.target violation);
-                    try_apply ~skipped:true rest
-                | None ->
-                    g := optimized;
-                    incr applied;
-                    accepted_arm := arm;
-                    last_error := err;
-                    (* Independent cross-check of the accepted LAC: its
-                       predicted error must re-measure consistently on a
-                       pattern set the flow never saw.  The recheck RNG is
-                       derived from (seed, iteration), never from the run's
-                       stream, so journaled resumes are unaffected. *)
-                    if config.certify_exact && npis > 0 then begin
-                      incr cert_lac_rechecks;
-                      let recheck_rng =
-                        Logic.Rng.create ((config.seed * 1_000_003) + !iteration)
-                      in
-                      (* Under an enumerated distribution the recheck is the
-                         exact support measurement itself — any deviation
-                         beyond float-summation noise is a failure. *)
-                      let pats, wts =
-                        match config.distr with
-                        | Errest.Distr.Enum _ as d ->
-                            (Errest.Distr.signatures d, Errest.Distr.round_weights d)
-                        | Errest.Distr.Unif ->
-                            ( gen_patterns recheck_rng config ~npis
-                                ~len:(max 64 config.eval_rounds),
-                              None )
-                      in
-                      let e2 =
-                        Errest.Metrics.compare_graphs ?weights:wts config.metric
-                          ~original ~approx:optimized pats
-                      in
-                      let dev = Float.abs (e2 -. err) in
-                      if dev > !cert_lac_maxdev then cert_lac_maxdev := dev;
-                      let fail tol =
-                        if dev > tol then begin
-                          incr cert_lac_failures;
-                          Log.err (fun m ->
-                              m
-                                "certify: LAC on node %d re-simulates at %.6g vs \
-                                 predicted %.6g (tolerance %.3g)"
-                                lac.Lac.target e2 err tol)
-                        end
-                      in
-                      match config.distr with
-                      | Errest.Distr.Enum _ -> fail config.guard_tol
-                      | Errest.Distr.Unif ->
-                          if Errest.Metrics.bounded_mean config.metric then
-                            (* Both estimates concentrate around the true
-                               error; their gap is bounded by the sum of the
-                               two one-sided Hoeffding margins. *)
-                            let n1 =
-                              if Array.length eval_pats > 0 then
-                                Bitvec.length eval_pats.(0)
-                              else max 64 config.eval_rounds
-                            in
-                            fail
-                              (Errest.Certify.hoeffding_margin ~samples:n1
-                                 ~confidence:0.9999
-                              +. Errest.Certify.hoeffding_margin
-                                   ~samples:(max 64 config.eval_rounds)
-                                   ~confidence:0.9999)
-                          (* Unbounded means and max metrics admit no such
-                             two-sample tolerance: deviations are recorded
-                             in [lac_max_deviation], not judged. *)
-                    end;
-                    events :=
-                      {
-                        iteration = !iteration;
-                        target = lac.Lac.target;
-                        est_error = err;
-                        ands_after = Graph.num_ands !g;
-                        rounds = !rounds;
-                      }
-                      :: !events;
-                    Log.debug (fun m ->
-                        m "iter %d: applied LAC on node %d, err %.5f, ands %d" !iteration
-                          lac.Lac.target err (Graph.num_ands !g));
-                    `Applied
-            end
-            else begin
-              Graph.recycle rb replaced;
-              try_apply ~skipped:true rest
-            end
-      in
-      match try_apply ~skipped:false ordered with
+      st.shrinks_at_floor <- st.shrinks_at_floor + 1;
+      if st.shrinks_at_floor > 3 then l.stop <- Some Stalled
+    end
+  end
+
+(* One Algorithm-3 iteration: sample, generate, score, try/commit,
+   checkpoint. *)
+let iterate l =
+  let care_sigs = sample l in
+  if Fault.should_raise l.config.fault ~iteration:l.st.iteration then
+    raise
+      (Fault.Injected (Printf.sprintf "injected exception at iteration %d" l.st.iteration));
+  match generate l care_sigs with
+  | [] -> shrink_rounds l
+  | lacs -> (
+      let base_sigs, ranked = score l lacs in
+      match try_apply l ~base_sigs ranked with
       | `Applied ->
-          patience := 0;
-          (* Reward the accepted candidate's arm BEFORE checkpointing, so
-             the journaled policy state already reflects this iteration and
-             a resume replays the next choice identically.  The reward is
-             the area saved per candidate scored this iteration — arm
-             productivity per unit of scoring work, straight from the
-             scoring-kernel counters. *)
-          (match config.policy with
-          | Config.Hook h when !accepted_arm >= 0 ->
-              let scored_now = (Errest.Batch.stats batch).Errest.Batch.scored in
-              let reward =
-                Float.min 1.0
-                  (Float.max 0.0
-                     (float_of_int (ands_before - Graph.num_ands !g)
-                     /. float_of_int (max 1 scored_now)))
-              in
-              h.Config.feed ~arm:!accepted_arm ~reward;
-              pol_accepted.(!accepted_arm) <- pol_accepted.(!accepted_arm) + 1;
-              pol_reward.(!accepted_arm) <- pol_reward.(!accepted_arm) +. reward
-          | Config.Hook _ | Config.Greedy -> ());
-          (match journal with Some j -> Journal.record j (snapshot ()) !g | None -> ());
-          if Graph.num_ands !g = 0 then begin
-            stop_reason := Emptied;
-            finished := true
-          end
-      | `Over_budget ->
-          stop_reason := Budget_exhausted;
-          finished := true
+          l.st.patience <- 0;
+          checkpoint l;
+          if Graph.num_ands l.g = 0 then l.stop <- Some Emptied
+      | `Over_budget -> l.stop <- Some Budget_exhausted
       | `No_progress ->
-          (* The arm the policy bet on produced nothing: a zero-reward pull,
-             fed before any later checkpoint so resumes stay aligned. *)
-          (match config.policy with
-          | Config.Hook h when !first_arm >= 0 ->
-              h.Config.feed ~arm:!first_arm ~reward:0.0
-          | Config.Hook _ | Config.Greedy -> ());
           (* All candidates were no-ops: treat like an empty candidate set
              so the dynamic-N schedule can unblock us. *)
-          shrink_rounds ()
-    end
-  in
-  (* The [max_seconds] budget is wall-clock: with a worker pool, CPU time
-     accumulates across domains roughly [jobs] times faster than the wall,
-     which is not what a time budget means. *)
-  while
-    (not !finished) && !applied < config.max_iters
-    && Parallel.Clock.now_s () -. w_start < config.max_seconds
-  do
-    (* Cooperative cancellation checkpoint: once per iteration here, plus
-       every pool chunk boundary via the [should_stop] hook installed by
-       [run]/[resume].  The journal (if any) already holds the last accepted
-       state, so a cancelled run resumes or rolls back cleanly. *)
-    if cancel () then raise Cancelled;
-    if Fault.should_kill config.fault ~applied:!applied then raise Fault.Killed;
-    incr iteration;
-    (* Containment: an iteration that blows up (an internal bug, or an
-       injected fault) abandons its partial work — [!g] still holds the last
-       good graph — and the flow moves on to fresh patterns. *)
-    try iteration_body ()
-    with e when not (fatal e) ->
-      incr recovered_exns;
-      Log.warn (fun m ->
-          m "iter %d: recovered from exception %s; continuing from last good graph"
-            !iteration (Printexc.to_string e));
-      if !recovered_exns >= max_recovered_exns then begin
-        stop_reason := Stalled;
-        finished := true
-      end
-  done;
-  if (not !finished) && !applied >= config.max_iters then stop_reason := Max_iters;
-  if Parallel.Clock.now_s () -. w_start >= config.max_seconds then
-    stop_reason := Timed_out;
-  (match config.resyn with
+          shrink_rounds l)
+
+(* Containment: an iteration that blows up (an internal bug, or an injected
+   fault) abandons its partial work — [l.g] still holds the last good
+   graph — and the flow moves on to fresh patterns. *)
+let contained_iteration l =
+  if Fault.should_kill l.config.fault ~applied:l.st.applied then raise Fault.Killed;
+  l.st.iteration <- l.st.iteration + 1;
+  try iterate l
+  with e when not (fatal e) ->
+    l.st.recovered_exns <- l.st.recovered_exns + 1;
+    Log.warn (fun m ->
+        m "iter %d: recovered from exception %s; continuing from last good graph"
+          l.st.iteration (Printexc.to_string e));
+    if l.st.recovered_exns >= max_recovered_exns then l.stop <- Some Stalled
+
+(* ---------- After the loop ---------- *)
+
+(* Under Compress2 the full pipeline runs once more on the final graph,
+   guarded exactly like an accepted LAC: compress2 is an exact transform,
+   so the error must be bit-for-bit unchanged. *)
+let hand_off l =
+  match l.config.resyn with
   | Config.Compress2 ->
-      let final = Aig.Resyn.compress2 ?resub !g in
-      certify_exact_step "final resyn" !g final;
-      if
-        Graph.num_ands final < Graph.num_ands !g
-        && Aig.Topo.depth final <= depth_limit
+      let final = Aig.Resyn.compress2 ?resub:(resub_pass l) l.g in
+      certify_exact_step l "final resyn" l.g final;
+      if Graph.num_ands final < Graph.num_ands l.g && Aig.Topo.depth final <= l.depth_limit
       then begin
-        (* Guard the hand-off exactly like an accepted LAC: compress2 is an
-           exact transform, so the error must be bit-for-bit unchanged. *)
         match
-          if config.guard then guard_violation final ~predicted:(measure_error !g)
+          if l.config.guard then guard_violation l final ~predicted:(measure_error l l.g)
           else None
         with
-        | None -> g := final
+        | None -> l.g <- final
         | Some violation ->
-            incr guard_rejects;
-            Log.warn (fun m -> m "final resyn pass rejected by guard (%s); rolled back" violation)
+            l.st.guard_rejects <- l.st.guard_rejects + 1;
+            Log.warn (fun m ->
+                m "final resyn pass rejected by guard (%s); rolled back" violation)
       end
-  | Config.No_resyn | Config.Light -> ());
-  let final_approx = Sim.Engine.simulate_pos ~pool !g eval_pats in
-  let final_err =
-    Errest.Metrics.measure ?weights:eval_weights config.metric ~golden
-      ~approx:final_approx
-  in
-  let eval_len =
-    if Array.length eval_pats > 0 then Bitvec.length eval_pats.(0) else config.eval_rounds
-  in
-  (* The certificate and its bound family.  Each family is only ever claimed
-     where it is sound:
-     - [Exhaustive]: the measurement already covered the whole input space
-       (enumerated support, or exhaustive uniform evaluation) — the sampled
-       value IS the true value;
-     - [Max_miter]: worst-case metrics under the uniform distribution get
-       the exact error-computation-miter certificate ({!Errest.Maxerr});
-     - [Hoeffding]: [0,1]-bounded mean metrics under Monte-Carlo sampling
-       ({!Errest.Metrics.bounded_mean}); NEVER claimed for a max metric,
-       whose sampled value is a lower bound the inequality runs the wrong
-       way for. *)
-  let certified =
-    match config.distr with
-    | Errest.Distr.Enum _ -> Some { upper = final_err; family = Exhaustive }
-    | Errest.Distr.Unif ->
-        if Errest.Metrics.is_max config.metric then begin
-          if Graph.num_pos original > 62 then None
-          else
-            match
-              Errest.Maxerr.certify ~seed:(config.seed + 0x3A7) config.metric
-                ~original ~approx:!g
-            with
-            | Errest.Maxerr.Exact { max; _ } ->
-                Some { upper = max; family = Max_miter }
-            | Errest.Maxerr.Undecided msg ->
-                Log.warn (fun m -> m "max-error certification undecided: %s" msg);
-                None
-        end
-        else if
-          config.input_probs = None
-          && npis <= Sim.Patterns.exhaustive_limit
-          && 1 lsl npis <= config.eval_rounds
-        then Some { upper = final_err; family = Exhaustive }
-        else if Errest.Metrics.bounded_mean config.metric then
-          Some
-            {
-              upper =
-                Errest.Certify.upper_bound ~sampled:final_err ~samples:eval_len
-                  ~confidence:config.confidence;
-              family = Hoeffding;
-            }
-        else None
-  in
-  ( !g,
-    {
-      input_ands = Graph.num_ands original;
-      output_ands = Graph.num_ands !g;
-      applied = !applied;
-      final_est_error = final_err;
-      certified;
-      final_rounds = !rounds;
-      runtime_s = Sys.time () -. t_start;
-      wall_s = Parallel.Clock.now_s () -. w_start;
-      stop_reason = !stop_reason;
-      guard_rejects = !guard_rejects;
-      recovered_exns = !recovered_exns;
-      quarantined = Hashtbl.length quarantine;
-      resumed = init <> None;
-      pool = Parallel.Pool.stats pool;
-      scoring = !scoring;
-      resub = (if config.exact_resub then Some !resub_stats else None);
-      events = List.rev !events;
-      certify =
-        (if config.certify_exact then
-           Some
-             {
-               exact_checks = !cert_exact_checks;
-               exact_confirmed = !cert_exact_confirmed;
-               exact_undecided = !cert_exact_undecided;
-               exact_refuted = !cert_exact_refuted;
-               lac_rechecks = !cert_lac_rechecks;
-               lac_recheck_failures = !cert_lac_failures;
-               lac_max_deviation = !cert_lac_maxdev;
-             }
-         else None);
-      policy =
-        (match config.policy with
-        | Config.Hook h ->
-            Some
-              {
-                policy_name = h.Config.policy_name;
-                arm_stats =
-                  Array.init h.Config.arms (fun a ->
-                      {
-                        arm = a;
-                        first_choice = pol_first.(a);
-                        accepted = pol_accepted.(a);
-                        reward_sum = pol_reward.(a);
-                      });
-              }
-        | Config.Greedy -> None);
-    } )
+  | Config.No_resyn | Config.Light -> ()
+
+(* The certificate and its bound family.  Each family is only ever claimed
+   where it is sound:
+   - [Exhaustive]: the measurement already covered the whole input space
+     (enumerated support, or exhaustive uniform evaluation) — the sampled
+     value IS the true value;
+   - [Max_miter]: worst-case metrics under the uniform distribution get the
+     exact error-computation-miter certificate ({!Errest.Maxerr});
+   - [Hoeffding]: [0,1]-bounded mean metrics under Monte-Carlo sampling
+     ({!Errest.Metrics.bounded_mean}); NEVER claimed for a max metric, whose
+     sampled value is a lower bound the inequality runs the wrong way for. *)
+let certificate l final_err =
+  let config = l.config in
+  match config.distr with
+  | Errest.Distr.Enum _ -> Some { upper = final_err; family = Exhaustive }
+  | Errest.Distr.Unif ->
+      if Errest.Metrics.is_max config.metric then begin
+        if Graph.num_pos l.original > 62 then None
+        else
+          match
+            Errest.Maxerr.certify ~seed:(config.seed + 0x3A7) config.metric
+              ~original:l.original ~approx:l.g
+          with
+          | Errest.Maxerr.Exact { max; _ } -> Some { upper = max; family = Max_miter }
+          | Errest.Maxerr.Undecided msg ->
+              Log.warn (fun m -> m "max-error certification undecided: %s" msg);
+              None
+      end
+      else if l.exhaustive then Some { upper = final_err; family = Exhaustive }
+      else if Errest.Metrics.bounded_mean config.metric then
+        Some
+          {
+            upper =
+              Errest.Certify.upper_bound ~sampled:final_err ~samples:(eval_len l)
+                ~confidence:config.confidence;
+            family = Hoeffding;
+          }
+      else None
+
+let report l ~resumed ~t_start ~w_start =
+  let final_err = measure_error l l.g in
+  let certified = certificate l final_err in
+  {
+    input_ands = Graph.num_ands l.original;
+    output_ands = Graph.num_ands l.g;
+    applied = l.st.applied;
+    final_est_error = final_err;
+    certified;
+    final_rounds = l.st.rounds;
+    runtime_s = Sys.time () -. t_start;
+    wall_s = Parallel.Clock.now_s () -. w_start;
+    stop_reason = Option.get l.stop;
+    guard_rejects = l.st.guard_rejects;
+    recovered_exns = l.st.recovered_exns;
+    quarantined = List.length l.st.quarantined;
+    resumed;
+    pool = Parallel.Pool.stats l.pool;
+    scoring = l.scoring;
+    resub = (if l.config.exact_resub then Some l.resub_stats else None);
+    events = List.rev l.st.events;
+    certify = (if l.config.certify_exact then Some l.certify else None);
+  }
+
+(* The driver.  The loop leaves through exactly one stop reason: set by an
+   iteration, or by the [max_iters] / [max_seconds] checks below — the
+   latter on the wall clock, since with a worker pool CPU time accumulates
+   across domains roughly [jobs] times faster than the wall, which is not
+   what a time budget means. *)
+let run_loop ~(config : Config.t) ~pool ~cancel ~journal ~original
+    ~(init : Journal.state option) g_start =
+  let t_start = Sys.time () in
+  let w_start = Parallel.Clock.now_s () in
+  let l = setup ~config ~pool ~journal ~original ~init g_start in
+  if init = None then l.g <- optimize l ~initial:true g_start;
+  while l.stop = None do
+    if l.st.applied >= config.max_iters then l.stop <- Some Max_iters
+    else if Parallel.Clock.now_s () -. w_start >= config.max_seconds then
+      l.stop <- Some Timed_out
+    else begin
+      (* Cooperative cancellation checkpoint: once per iteration here, plus
+         every pool chunk boundary via the [should_stop] hook installed by
+         [run]/[resume].  The journal (if any) already holds the last
+         accepted state, so a cancelled run resumes or rolls back cleanly. *)
+      if cancel () then raise Cancelled;
+      contained_iteration l
+    end
+  done;
+  hand_off l;
+  (l.g, report l ~resumed:(init <> None) ~t_start ~w_start)
 
 let no_cancel () = false
 
@@ -813,8 +706,8 @@ let run ?journal ?(cancel = no_cancel) ?pool ~(config : Config.t) g0 =
   with_run_pool ?pool ~jobs:config.jobs ~cancel (fun pool ->
       run_loop ~config ~pool ~cancel ~journal:j ~original ~init:None original)
 
-let resume ?(fault = Fault.none) ?jobs ?policy ?(cancel = no_cancel) ?pool dir =
-  let r = Journal.load ?policy dir in
+let resume ?(fault = Fault.none) ?jobs ?(cancel = no_cancel) ?pool dir =
+  let r = Journal.load dir in
   (match r.Journal.degraded with
   | Some msg -> Log.warn (fun m -> m "resume: %s" msg)
   | None -> ());

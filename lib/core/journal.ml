@@ -9,20 +9,33 @@ type event = {
 }
 
 type state = {
-  rng_state : int64;
-  rounds : int;
-  patience : int;
-  shrinks_at_floor : int;
-  applied : int;
-  iteration : int;
-  accepts_since_full : int;
-  last_error : float;
-  guard_rejects : int;
-  recovered_exns : int;
-  quarantined : int list;
-  policy_state : string;
-  events : event list;
+  rng : Logic.Rng.t;
+  mutable rounds : int;
+  mutable patience : int;
+  mutable shrinks_at_floor : int;
+  mutable applied : int;
+  mutable iteration : int;
+  mutable accepts_since_full : int;
+  mutable guard_rejects : int;
+  mutable recovered_exns : int;
+  mutable quarantined : int list;
+  mutable events : event list;
 }
+
+let fresh ~rng ~rounds =
+  {
+    rng;
+    rounds;
+    patience = 0;
+    shrinks_at_floor = 0;
+    applied = 0;
+    iteration = 0;
+    accepts_since_full = 0;
+    guard_rejects = 0;
+    recovered_exns = 0;
+    quarantined = [];
+    events = [];
+  }
 
 type t = { dir : string }
 
@@ -40,6 +53,29 @@ let checkpoint_file dir = Filename.concat dir "checkpoint"
 let checkpoint_prev_file dir = Filename.concat dir "checkpoint.prev"
 
 let dir t = t.dir
+
+(* ---------- Format versions ---------- *)
+
+let manifest_header = "alsrac-journal 2"
+let checkpoint_header = "alsrac-checkpoint 2"
+
+let outdated_header ~current line =
+  match (String.split_on_char ' ' line, String.split_on_char ' ' current) with
+  | [ name; v ], [ name'; v' ] when name = name' -> (
+      match (int_of_string_opt v, int_of_string_opt v') with
+      | Some v, Some v' -> v >= 1 && v < v'
+      | _ -> false)
+  | _ -> false
+
+let check_header ~what ~current line =
+  if line <> current then
+    if outdated_header ~current line then
+      failwith
+        (Printf.sprintf
+           "%s: format %S is no longer supported (this build reads %S); \
+            re-run from scratch"
+           what line current)
+    else failwith (Printf.sprintf "%s: bad header" what)
 
 (* ---------- Scalars ---------- *)
 
@@ -100,16 +136,12 @@ let config_to_string (c : Config.t) =
       kv "input_probs"
         (String.concat "," (Array.to_list (Array.map emit_float probs))));
   kv "max_depth_growth" (emit_float c.max_depth_growth);
-  kv "use_odc" (string_of_bool c.use_odc);
   kv "guard" (string_of_bool c.guard);
   kv "guard_tol" (emit_float c.guard_tol);
   kv "confidence" (emit_float c.confidence);
   kv "certify_exact" (string_of_bool c.certify_exact);
   kv "exact_resub" (string_of_bool c.exact_resub);
   kv "jobs" (string_of_int c.jobs);
-  (* The policy is persisted by name only; its (code) hook is re-supplied by
-     the resuming caller and its internal state checkpointed per snapshot. *)
-  kv "policy" (Config.policy_name c.policy);
   (* The fault plan is deliberately NOT persisted: injected faults belong to
      one process's run, not to the journal a resumed run continues from. *)
   Buffer.contents buf
@@ -119,20 +151,8 @@ let parse_bool_exn what s =
   | Some b -> b
   | None -> failwith (Printf.sprintf "journal: bad boolean for %s: %S" what s)
 
-let config_of_string ?policy text =
+let config_of_string text =
   let c = ref (Config.default ~metric:Errest.Metrics.Er ~threshold:0.0) in
-  let resolve_policy name =
-    match (name, policy) with
-    | "greedy", _ -> Config.Greedy
-    | _, Some (h : Config.policy_hook) when h.Config.policy_name = name ->
-        Config.Hook h
-    | _ ->
-        failwith
-          (Printf.sprintf
-             "journal: run used candidate-selection policy %S; resume must \
-              supply the same policy hook"
-             name)
-  in
   String.split_on_char '\n' text
   |> List.iter (fun line ->
          let line = String.trim line in
@@ -180,7 +200,6 @@ let config_of_string ?policy text =
                c := { !c with Config.input_probs = probs }
            | "max_depth_growth" ->
                c := { !c with Config.max_depth_growth = parse_float_exn key value }
-           | "use_odc" -> c := { !c with Config.use_odc = parse_bool_exn key value }
            | "guard" -> c := { !c with Config.guard = parse_bool_exn key value }
            | "guard_tol" -> c := { !c with Config.guard_tol = parse_float_exn key value }
            | "confidence" -> c := { !c with Config.confidence = parse_float_exn key value }
@@ -189,7 +208,6 @@ let config_of_string ?policy text =
            | "exact_resub" ->
                c := { !c with Config.exact_resub = parse_bool_exn key value }
            | "jobs" -> c := { !c with Config.jobs = parse_int_exn key value }
-           | "policy" -> c := { !c with Config.policy = resolve_policy value }
            | _ -> failwith (Printf.sprintf "journal: unknown config key %S" key));
   !c
 
@@ -203,22 +221,18 @@ let checksum s =
 let state_to_string state graph_text =
   let buf = Buffer.create (String.length graph_text + 1024) in
   let kv k v = Buffer.add_string buf (Printf.sprintf "%s %s\n" k v) in
-  Buffer.add_string buf "alsrac-checkpoint 1\n";
-  kv "rng" (Int64.to_string state.rng_state);
+  Buffer.add_string buf (checkpoint_header ^ "\n");
+  kv "rng" (Int64.to_string (Logic.Rng.state state.rng));
   kv "rounds" (string_of_int state.rounds);
   kv "patience" (string_of_int state.patience);
   kv "shrinks_at_floor" (string_of_int state.shrinks_at_floor);
   kv "applied" (string_of_int state.applied);
   kv "iteration" (string_of_int state.iteration);
   kv "accepts_since_full" (string_of_int state.accepts_since_full);
-  kv "last_error" (emit_float state.last_error);
   kv "guard_rejects" (string_of_int state.guard_rejects);
   kv "recovered_exns" (string_of_int state.recovered_exns);
   kv "quarantined"
     (String.concat " " (List.map string_of_int state.quarantined));
-  if String.contains state.policy_state '\n' then
-    failwith "journal: policy state must be a single line";
-  kv "policy_state" state.policy_state;
   kv "events" (string_of_int (List.length state.events));
   List.iter
     (fun (e : event) ->
@@ -251,12 +265,11 @@ let parse_checkpoint text =
         String.sub line (sp + 1) (String.length line - sp - 1)
     | _ -> failwith (Printf.sprintf "journal: expected %S field, got %S" key line)
   in
-  if next_line () <> "alsrac-checkpoint 1" then
-    failwith "journal: bad checkpoint header";
-  let rng_state =
+  check_header ~what:"journal checkpoint" ~current:checkpoint_header (next_line ());
+  let rng =
     let s = field "rng" in
     match Int64.of_string_opt s with
-    | Some v -> v
+    | Some v -> Logic.Rng.of_state v
     | None -> failwith (Printf.sprintf "journal: bad rng state %S" s)
   in
   let rounds = parse_int_exn "rounds" (field "rounds") in
@@ -267,7 +280,6 @@ let parse_checkpoint text =
   let accepts_since_full =
     parse_int_exn "accepts_since_full" (field "accepts_since_full")
   in
-  let last_error = parse_float_exn "last_error" (field "last_error") in
   let guard_rejects = parse_int_exn "guard_rejects" (field "guard_rejects") in
   let recovered_exns = parse_int_exn "recovered_exns" (field "recovered_exns") in
   let quarantined =
@@ -275,7 +287,6 @@ let parse_checkpoint text =
     |> List.filter (fun s -> s <> "")
     |> List.map (parse_int_exn "quarantined")
   in
-  let policy_state = field "policy_state" in
   let nevents = parse_int_exn "events" (field "events") in
   if nevents < 0 then failwith "journal: negative event count";
   (* Each event is one line: bound the claimed count by the bytes left. *)
@@ -306,18 +317,16 @@ let parse_checkpoint text =
   if next_line () <> "end" then failwith "journal: missing end marker";
   let graph = Circuit_io.Aiger.parse graph_text in
   ( {
-      rng_state;
+      rng;
       rounds;
       patience;
       shrinks_at_floor;
       applied;
       iteration;
       accepts_since_full;
-      last_error;
       guard_rejects;
       recovered_exns;
       quarantined;
-      policy_state;
       events;
     },
     graph )
@@ -337,7 +346,7 @@ let create ~dir ~(config : Config.t) ~original =
     (fun f -> if Sys.file_exists f then Sys.remove f)
     [ checkpoint_file dir; checkpoint_prev_file dir ];
   Circuit_io.Atomic_file.write (manifest_file dir)
-    ("alsrac-journal 1\n" ^ config_to_string config ^ "end\n");
+    (manifest_header ^ "\n" ^ config_to_string config ^ "end\n");
   Circuit_io.Aiger.write_graph (original_file dir) original;
   { dir }
 
@@ -355,14 +364,15 @@ let record t state graph =
   if Sys.file_exists cp then Sys.rename cp (checkpoint_prev_file t.dir);
   Circuit_io.Atomic_file.write cp contents
 
-let load_manifest ?policy dir =
+let load_manifest dir =
   let path = manifest_file dir in
   let text =
     try Circuit_io.Atomic_file.read path
     with Sys_error msg -> failwith (Printf.sprintf "journal: cannot read manifest: %s" msg)
   in
   match String.index_opt text '\n' with
-  | Some i when String.sub text 0 i = "alsrac-journal 1" ->
+  | Some i ->
+      check_header ~what:"journal manifest" ~current:manifest_header (String.sub text 0 i);
       let body = String.sub text (i + 1) (String.length text - i - 1) in
       let body =
         (* The trailing "end" marker detects truncation. *)
@@ -371,16 +381,24 @@ let load_manifest ?policy dir =
             String.concat "\n" (List.rev rev_rest)
         | _ -> failwith "journal: truncated manifest"
       in
-      config_of_string ?policy body
-  | _ -> failwith "journal: bad manifest header"
+      config_of_string body
+  | None -> failwith "journal manifest: bad header"
 
-let load ?policy dir =
+(* A checkpoint of an older format version is not corruption to fall back
+   from: the whole run directory predates this build, so [load] refuses it
+   instead of silently restarting. *)
+let reject_outdated_checkpoint text =
+  let first = match String.index_opt text '\n' with Some i -> String.sub text 0 i | None -> text in
+  if outdated_header ~current:checkpoint_header first then
+    check_header ~what:"journal checkpoint" ~current:checkpoint_header first
+
+let load dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     failwith (Printf.sprintf "journal: %s is not a journal directory" dir);
   (* Same kill-crash debris leak the point stores had: a run killed inside
      [Atomic_file.write] strands the staged temp next to the checkpoint. *)
   Circuit_io.Atomic_file.sweep_debris dir;
-  let config = load_manifest ?policy dir in
+  let config = load_manifest dir in
   let original =
     try Circuit_io.Aiger.read (original_file dir)
     with Sys_error msg ->
@@ -389,9 +407,13 @@ let load ?policy dir =
   let try_checkpoint path =
     if not (Sys.file_exists path) then None
     else
-      match parse_checkpoint (Circuit_io.Atomic_file.read path) with
-      | state, graph -> Some (Ok (state, graph))
-      | exception (Failure msg | Sys_error msg) -> Some (Error msg)
+      match Circuit_io.Atomic_file.read path with
+      | exception Sys_error msg -> Some (Error msg)
+      | text -> (
+          reject_outdated_checkpoint text;
+          match parse_checkpoint text with
+          | state, graph -> Some (Ok (state, graph))
+          | exception Failure msg -> Some (Error msg))
   in
   let primary = try_checkpoint (checkpoint_file dir) in
   let fallback = try_checkpoint (checkpoint_prev_file dir) in

@@ -34,22 +34,25 @@ type event = {
 (** One accepted LAC; re-exported by {!Flow} as its event type. *)
 
 type state = {
-  rng_state : int64;  (** splitmix64 stream position *)
-  rounds : int;  (** dynamic simulation round [N] *)
-  patience : int;
-  shrinks_at_floor : int;
-  applied : int;
-  iteration : int;
-  accepts_since_full : int;  (** Compress2 cheap/full pass schedule *)
-  last_error : float;
-  guard_rejects : int;
-  recovered_exns : int;
-  quarantined : int list;  (** signature hashes of quarantined targets *)
-  policy_state : string;
-      (** serialized candidate-selection-policy state
-          ([Config.policy_hook.policy_state]); [""] for the greedy policy *)
-  events : event list;  (** newest first, as the flow accumulates them *)
+  rng : Logic.Rng.t;  (** the run's single splitmix64 stream *)
+  mutable rounds : int;  (** dynamic simulation round [N] *)
+  mutable patience : int;
+  mutable shrinks_at_floor : int;
+  mutable applied : int;
+  mutable iteration : int;
+  mutable accepts_since_full : int;  (** Compress2 cheap/full pass schedule *)
+  mutable guard_rejects : int;
+  mutable recovered_exns : int;
+  mutable quarantined : int list;
+      (** signature hashes of quarantined targets, ascending *)
+  mutable events : event list;  (** newest first, as the flow accumulates them *)
 }
+(** The journaled part of the flow's loop state.  {!Flow} updates it in
+    place as the loop runs, and {!record} checkpoints it verbatim. *)
+
+val fresh : rng:Logic.Rng.t -> rounds:int -> state
+(** The state a fresh run starts from: [rounds] care-simulation rounds,
+    every counter zero, nothing quarantined, no events. *)
 
 type t
 (** An open journal (run directory) being written. *)
@@ -79,22 +82,28 @@ type resume = {
       (** set when a corrupt/torn checkpoint was skipped over *)
 }
 
-val load : ?policy:Config.policy_hook -> string -> resume
+val load : string -> resume
 (** Read a journal directory back.  Corrupt or truncated checkpoints are
     tolerated (see module description); a missing or corrupt manifest or
     original circuit raises [Failure] — without them there is nothing
-    meaningful to resume.  [?policy] resolves a manifest that names a
-    non-greedy candidate-selection policy: the hook's name must match the
-    manifest's, or the load fails (a policy is code; only its name and
-    per-checkpoint state are persisted). *)
+    meaningful to resume.  So does a manifest or checkpoint written in an
+    older format version: the message names the version and asks for a
+    fresh run. *)
 
 (** {1 Config serialization} (exposed for tests) *)
 
 val config_to_string : Config.t -> string
 (** One [key value] line per field.  The {!Config.t.fault} plan is not
-    persisted: injected faults belong to a process, not to the run; the
-    {!Config.t.policy} is persisted by name only. *)
+    persisted: injected faults belong to a process, not to the run. *)
 
-val config_of_string : ?policy:Config.policy_hook -> string -> Config.t
-(** Inverse of {!config_to_string}; unknown keys raise [Failure], as does a
-    non-greedy policy name that [?policy] does not supply. *)
+val config_of_string : string -> Config.t
+(** Inverse of {!config_to_string}; unknown keys raise [Failure]. *)
+
+(** {1 Format versions} *)
+
+val check_header : what:string -> current:string -> string -> unit
+(** [check_header ~what ~current line] accepts a file whose first line is
+    [current] (["<format> <version>"]).  The same format at an older version
+    raises [Failure] naming that version and asking for a fresh run — old
+    files are refused, never converted; any other line raises a bad-header
+    [Failure].  [what] prefixes the message. *)

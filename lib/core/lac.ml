@@ -14,18 +14,17 @@ type t = {
 let derivations_per_node = 8
 
 (* Candidates of one target node, in the order the sequential flow has
-   always produced them.  Pure in everything shared: the graph, signatures,
-   fanout counts and ODC masks are only read, all scratch state is local —
+   always produced them.  Pure in everything shared: the graph, signatures
+   and fanout counts are only read, all scratch state is local —
    which is what makes the per-node fan-out below safe. *)
-let candidates_for ?obs ?pool g ~(config : Config.t) ~sigs ~rounds ~fanouts v =
+let candidates_for ?pool g ~(config : Config.t) ~sigs ~rounds ~fanouts v =
   let mffc = Aig.Cone.mffc g ~fanouts v in
   let mffc_size = List.length mffc in
   let in_mffc = Hashtbl.create 16 in
   List.iter (fun n -> Hashtbl.replace in_mffc n ()) mffc;
-  let mask = Option.map (fun o -> o.(v)) obs in
   let sets = Array.of_list (Divisor.select g ~max_tfi:config.max_tfi_divisors v) in
   let feasible =
-    Feasibility.filter ?pool ?mask ~sigs ~node:v ~sets ~rounds ()
+    Feasibility.filter ?pool ~sigs ~node:v ~sets ~rounds ()
     |> List.map (fun (divisors, care) ->
            (Divisor.true_savings g ~in_mffc ~mffc_size divisors, divisors, care))
   in
@@ -50,7 +49,7 @@ let candidates_for ?obs ?pool g ~(config : Config.t) ~sigs ~rounds ~fanouts v =
     ranked;
   !candidates
 
-let generate ?obs ?pool g ~(config : Config.t) ~sigs ~rounds =
+let generate ?pool g ~(config : Config.t) ~sigs ~rounds =
   let fanouts = Aig.Topo.fanout_counts g in
   let nodes = ref [] in
   Graph.iter_ands g (fun v -> if fanouts.(v) > 0 then nodes := v :: !nodes);
@@ -66,7 +65,7 @@ let generate ?obs ?pool g ~(config : Config.t) ~sigs ~rounds =
   in
   let per_node =
     Parallel.Chunk.map ?pool ~n (fun i ->
-        candidates_for ?obs ?pool:set_pool g ~config ~sigs ~rounds ~fanouts nodes.(i))
+        candidates_for ?pool:set_pool g ~config ~sigs ~rounds ~fanouts nodes.(i))
   in
   List.concat (Array.to_list per_node)
 

@@ -17,7 +17,6 @@ type t = {
 }
 
 val generate :
-  ?obs:Logic.Bitvec.t array ->
   ?pool:Parallel.Pool.t ->
   Aig.Graph.t ->
   config:Config.t ->
@@ -26,8 +25,7 @@ val generate :
   t list
 (** [sigs] are node signatures of the care-pattern simulation ([rounds]
     rounds, cf. Algorithm 2 line 1).  At most [config.lac_limit] candidates
-    per node.  [obs] (per-node observability masks) enables the ODC-aware
-    care sets of [Config.use_odc].  With [?pool], target nodes are processed
+    per node.  With [?pool], target nodes are processed
     concurrently (falling back to concurrent per-set care scans when the
     pool outnumbers the targets); the returned list — contents and order —
     is identical at any pool size. *)

@@ -1,23 +1,6 @@
-(** Per-pattern output sensitivity by a single backward sweep.
-
-    [masks g ~sigs] returns, per node, a vector whose bit [m] estimates
-    whether flipping the node's value in round [m] flips at least one PO,
-    propagating the Boolean difference backwards edge-by-edge.  The estimate
-    is exact on fanout-free trees; under reconvergence it is a heuristic in
-    both directions (parallel paths may cancel a flagged flip, or jointly
-    propagate an unflagged one).  This is the change-propagation half of Su
-    et al.'s estimator family and serves as a cheap ranking signal; the
-    authoritative answer is {!Sim.Engine.resimulate_tfo} as used by
-    {!Batch}. *)
-
-val masks : Aig.Graph.t -> sigs:Logic.Bitvec.t array -> Logic.Bitvec.t array
-
-(** {1 Execution observability}
-
-    Rendering of the worker-pool counters carried in flow reports: per
-    worker, tasks executed, steals, and busy/idle wall time.  Signal-level
-    observability (the masks above) and execution-level observability are
-    deliberately reported through the same module. *)
+(** Execution observability: rendering of the worker-pool counters carried
+    in flow reports — per worker, tasks executed, steals, and busy/idle wall
+    time. *)
 
 val pp_pool_stats : Format.formatter -> Parallel.Pool.stat array -> unit
 (** Multi-line, one worker per line. *)

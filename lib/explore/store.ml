@@ -1,7 +1,6 @@
 type manifest = {
   benchmarks : string list;
   ladders : Ladder.t list;
-  policy : Policy.kind;
   seed : int;
   eval_rounds : int;
   max_iters : int;
@@ -29,7 +28,7 @@ type result = {
   runtime_s : float;
 }
 
-let format_line = "alsrac-explore 1"
+let format_line = "alsrac-explore 2"
 
 (* ---------- kv plumbing (same shape as the flow journal) ---------- *)
 
@@ -78,7 +77,6 @@ let manifest_to_string m =
       [
         ("benchmarks", String.concat "," m.benchmarks);
         ("ladder", Ladder.to_spec m.ladders);
-        ("policy", Policy.kind_to_string m.policy);
         ("seed", string_of_int m.seed);
         ("eval_rounds", string_of_int m.eval_rounds);
         ("max_iters", string_of_int m.max_iters);
@@ -88,7 +86,8 @@ let manifest_to_string m =
 let manifest_of_string text =
   let what = "explore manifest" in
   match String.index_opt text '\n' with
-  | Some i when String.sub text 0 i = format_line ->
+  | Some i ->
+      Core.Journal.check_header ~what ~current:format_line (String.sub text 0 i);
       let kvs =
         kv_of_string ~what (String.sub text (i + 1) (String.length text - i - 1))
       in
@@ -97,30 +96,18 @@ let manifest_of_string text =
         | Ok ls -> ls
         | Error e -> failwith (Printf.sprintf "%s: %s" what e)
       in
-      let policy =
-        let p = field ~what kvs "policy" in
-        match Policy.kind_of_string p with
-        | Some k -> k
-        | None -> failwith (Printf.sprintf "%s: unknown policy %S" what p)
-      in
       {
         benchmarks = String.split_on_char ',' (field ~what kvs "benchmarks");
         ladders;
-        policy;
         seed = int_field ~what kvs "seed";
         eval_rounds = int_field ~what kvs "eval_rounds";
         max_iters = int_field ~what kvs "max_iters";
         distr =
-          (* Manifests written before the distribution axis existed carry
-             no [distr] key: those sweeps were uniform. *)
-          (match List.assoc_opt "distr" kvs with
-          | None -> Errest.Distr.Unif
-          | Some v -> (
-              match Errest.Distr.of_string v with
-              | Ok d -> d
-              | Error e -> failwith (Printf.sprintf "%s: bad distr: %s" what e)));
+          (match Errest.Distr.of_string (field ~what kvs "distr") with
+          | Ok d -> d
+          | Error e -> failwith (Printf.sprintf "%s: bad distr: %s" what e));
       }
-  | _ -> failwith (Printf.sprintf "%s: not an %s file" what format_line)
+  | None -> failwith (Printf.sprintf "%s: not an %s file" what format_line)
 
 let manifest_path dir = Filename.concat dir "manifest"
 let points_dir dir = Filename.concat dir "points"

@@ -3,8 +3,8 @@
 
     A sweep directory holds:
 
-    - [manifest] — the sweep's identity (benchmarks, ladders, policy,
-      seed, flow knobs), written once, atomically.  On resume the
+    - [manifest] — the sweep's identity (benchmarks, ladders, seed, flow
+      knobs), written once, atomically.  On resume the
       manifest {e supersedes} the command line, exactly like the flow
       journal: a sweep's work list may never drift between restarts.
     - [points/point-NNNNNN] — one file per completed (benchmark, metric,
@@ -23,14 +23,12 @@
 type manifest = {
   benchmarks : string list;  (** suite names, in sweep order *)
   ladders : Ladder.t list;
-  policy : Policy.kind;
   seed : int;  (** base seed; point [i] runs the flow with [seed + i] *)
   eval_rounds : int;
   max_iters : int;
   distr : Errest.Distr.t;
       (** input distribution every point's flow measures error under;
-          persisted with {!Errest.Distr.to_string} (manifests predating
-          the field read back as [Unif]) *)
+          persisted with {!Errest.Distr.to_string} *)
 }
 
 type result = {

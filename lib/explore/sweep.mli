@@ -12,7 +12,7 @@
       benchmark, then ascending budget;
     - each point's result is a pure function of the manifest and its
       index — the flow runs with [jobs = 1], seed [manifest.seed +
-      index], a fresh policy hook, and no wall-clock budget;
+      index], and no wall-clock budget;
     - completed points persist atomically, so progress is a {e set} of
       indices, and {!Store.write_fronts} + {!Front}'s canonical
       antichain make the fronts a function of that set alone. *)
@@ -21,7 +21,6 @@ type spec = {
   dir : string;
   benchmarks : string list;
   ladders : Ladder.t list;
-  policy : Policy.kind;
   seed : int;
   eval_rounds : int;
   max_iters : int;  (** per-point cap on accepted LACs *)

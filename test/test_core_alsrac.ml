@@ -203,33 +203,6 @@ let test_flow_rounds_shrink () =
   check "terminates" true (report.Core.Flow.final_rounds <= 32);
   check "equivalent at zero threshold" true (Util.equivalent g approx)
 
-let test_odc_masked_scan () =
-  (* The Example-2 conflict disappears when the conflicting rounds are
-     masked out as unobservable. *)
-  let u = Bitvec.of_string "0111011101110111" in
-  let z = Bitvec.of_string "0000110011001100" in
-  let v = Bitvec.of_string "1100000000110000" in
-  let sigs = [| Bitvec.create 16; u; z; v |] in
-  let unmasked = Core.Care.scan ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () in
-  check "conflict without mask" false (Core.Feasibility.ok unmasked);
-  (* Mask the minority rounds of both conflicting tuples (uz=10 conflicts
-     through round 1; uz=11 through rounds 10 and 11). *)
-  let mask = Bitvec.init 16 (fun m -> not (m = 1 || m = 10 || m = 11)) in
-  let masked = Core.Care.scan ~mask ~sigs ~node:3 ~divisors:[| 1; 2 |] ~rounds:16 () in
-  check "feasible under mask" true (Core.Feasibility.ok masked)
-
-let test_flow_with_odc () =
-  let g = Circuits.Epfl_control.cavlc () in
-  let config =
-    { (Core.Config.default ~metric:Errest.Metrics.Er ~threshold:0.05) with
-      Core.Config.eval_rounds = 2048; max_iters = 300; seed = 7; use_odc = true }
-  in
-  let approx, _ = Core.Flow.run ~config g in
-  let exact = Errest.Metrics.evaluate Errest.Metrics.Er ~original:g ~approx in
-  check "odc flow respects threshold (exhaustive eval)" true (exact <= 0.05 +. 1e-9);
-  check "odc flow reduced area" true
-    (Graph.num_ands approx < Graph.num_ands (Graph.compact g))
-
 let test_flow_depth_guard () =
   (* With a tight depth guard the result must stay within the bound; the
      kogge-stone adder is the circuit most tempted to serialize. *)
@@ -242,6 +215,160 @@ let test_flow_depth_guard () =
   in
   let approx, _ = Core.Flow.run ~config g in
   check "depth preserved" true (Aig.Topo.depth approx <= original_depth)
+
+(* ---------- Golden outputs ----------
+
+   Byte-identity pins for the whole flow: each row runs one configuration at
+   jobs 1 and jobs 4 and must reproduce the recorded AIGER digest, event
+   list, loop counters, stop reason and scoring-kernel counters exactly.
+   A refactor of the flow loop that changes any of these changed the flow. *)
+
+let stop_to_string = function
+  | Core.Flow.Budget_exhausted -> "budget"
+  | Core.Flow.Stalled -> "stalled"
+  | Core.Flow.Max_iters -> "max-iters"
+  | Core.Flow.Emptied -> "emptied"
+  | Core.Flow.Timed_out -> "timed-out"
+
+let golden_summary (g, (r : Core.Flow.report)) =
+  let events =
+    List.map
+      (fun (e : Core.Flow.event) ->
+        Printf.sprintf "%d %d %h %d %d" e.iteration e.target e.est_error
+          e.ands_after e.rounds)
+      r.Core.Flow.events
+    |> String.concat ";"
+  in
+  let s = r.Core.Flow.scoring in
+  let certify =
+    match r.Core.Flow.certify with
+    | None -> ""
+    | Some c ->
+        Printf.sprintf " certify=%d/%d/%d/%d/%d/%d" c.Core.Flow.exact_checks
+          c.Core.Flow.exact_confirmed c.Core.Flow.exact_undecided
+          c.Core.Flow.exact_refuted c.Core.Flow.lac_rechecks
+          c.Core.Flow.lac_recheck_failures
+  in
+  let resub =
+    match r.Core.Flow.resub with
+    | None -> ""
+    | Some x ->
+        Printf.sprintf " resub=%d/%d/%d/%d/%d" x.Core.Resub_exact.passes
+          x.Core.Resub_exact.targets x.Core.Resub_exact.feasible
+          x.Core.Resub_exact.derived x.Core.Resub_exact.accepted
+  in
+  Printf.sprintf
+    "aig=%s events=%d:%s applied=%d guard_rejects=%d recovered=%d \
+     final_rounds=%d stop=%s scoring=%d/%d/%d/%d/%d/%d%s%s"
+    (Digest.to_hex (Digest.string (Circuit_io.Aiger.graph_to_string g)))
+    (List.length r.Core.Flow.events)
+    (String.sub (Digest.to_hex (Digest.string events)) 0 12)
+    r.Core.Flow.applied r.Core.Flow.guard_rejects r.Core.Flow.recovered_exns
+    r.Core.Flow.final_rounds (stop_to_string r.Core.Flow.stop_reason)
+    s.Errest.Batch.scored s.Errest.Batch.trivial s.Errest.Batch.early_exits
+    s.Errest.Batch.frontier_nodes s.Errest.Batch.changed_pos
+    s.Errest.Batch.changed_words certify resub
+
+let golden_config metric threshold =
+  { (Core.Config.default ~metric ~threshold) with Core.Config.seed = 7 }
+
+let golden_run config g ~jobs =
+  Core.Flow.run ~config:{ config with Core.Config.jobs } g
+
+(* Kill after three accepted LACs, then resume: the resumed report carries
+   the whole event history but only the resumed portion's scoring counters. *)
+let golden_kill_resume config g ~jobs =
+  let dir = Filename.temp_file "alsrac_golden" "" ^ ".d" in
+  let killed =
+    { config with
+      Core.Config.jobs;
+      fault = [ Core.Fault.Kill_after { applied = 3 } ] }
+  in
+  (match Core.Flow.run ~journal:dir ~config:killed g with
+  | _ -> Alcotest.fail "expected the injected kill to fire"
+  | exception Core.Fault.Killed -> ());
+  Core.Flow.resume ~jobs dir
+
+let enum_distr npis =
+  let rng = Logic.Rng.create 29 in
+  let rows = Array.init 48 (fun _ -> Array.init npis (fun _ -> Logic.Rng.bool rng)) in
+  let weights = Array.init 48 (fun i -> float_of_int (1 + (i mod 5))) in
+  Errest.Distr.enum ~rows ~weights
+
+let cavlc_er1 = golden_config Errest.Metrics.Er 0.01
+
+let golden_rows =
+  [
+    ( "cavlc er 1% compress2",
+      golden_run cavlc_er1 (Circuits.Epfl_control.cavlc ()),
+      "aig=654c1a831a777bc900c649519ac75eab events=12:2b9de8708de8 \
+       applied=12 guard_rejects=0 recovered=0 final_rounds=4 stop=stalled \
+       scoring=28791/13245/14/48079/17059/119983" );
+    ( "wallace4 mred",
+      golden_run
+        { (golden_config Errest.Metrics.Mred 0.02) with Core.Config.eval_rounds = 256 }
+        (Circuits.Multipliers.wallace ~width:4),
+      "aig=5ad1ce1f018b26338354873df636f65c events=23:e7b68519a2ee \
+       applied=23 guard_rejects=0 recovered=0 final_rounds=4 stop=budget \
+       scoring=8026/5056/2/27352/6536/11153" );
+    ( "exact resub",
+      golden_run
+        { cavlc_er1 with Core.Config.exact_resub = true; max_iters = 6 }
+        (Circuits.Epfl_control.cavlc ()),
+      "aig=2e2b6b4ff95ac0e3076ff26f8b351c7f events=6:7c203b1b9837 \
+       applied=6 guard_rejects=0 recovered=0 final_rounds=32 stop=max-iters \
+       scoring=1701/1351/4/711/346/1928 resub=3/857/41/9/2" );
+    ( "enum distribution",
+      golden_run
+        { (golden_config Errest.Metrics.Er 0.05) with
+          Core.Config.distr = enum_distr 8 }
+        (Circuits.Multipliers.array_mult ~width:4),
+      "aig=d969b6aeaa4ce8514bc83530dd72f4ef events=16:33da558d9a67 \
+       applied=16 guard_rejects=0 recovered=0 final_rounds=4 stop=budget \
+       scoring=7555/3371/17/48123/8480/4167" );
+    ( "certify exact",
+      golden_run
+        { cavlc_er1 with Core.Config.certify_exact = true; max_iters = 15 }
+        (Circuits.Epfl_control.cavlc ()),
+      "aig=654c1a831a777bc900c649519ac75eab events=12:2b9de8708de8 \
+       applied=12 guard_rejects=0 recovered=0 final_rounds=4 stop=stalled \
+       scoring=28791/13245/14/48079/17059/119983 certify=14/14/0/0/12/0" );
+    ( "fault: guard trips",
+      golden_run
+        { cavlc_er1 with
+          Core.Config.max_iters = 15;
+          fault = [ Core.Fault.Corrupt_lac { iteration = 2 } ] }
+        (Circuits.Epfl_control.cavlc ()),
+      "aig=5f3ce819798e47431292fe12a1d3ee76 events=12:657349b3156c \
+       applied=12 guard_rejects=1 recovered=0 final_rounds=4 stop=stalled \
+       scoring=29080/13380/13/48473/17214/122157" );
+    ( "fault: recovered exception",
+      golden_run
+        { cavlc_er1 with
+          Core.Config.max_iters = 15;
+          fault = [ Core.Fault.Raise_at { iteration = 3 } ] }
+        (Circuits.Epfl_control.cavlc ()),
+      "aig=86b93e757d53fbc0c36b67ea2ca1218a events=12:a3f9e358ed32 \
+       applied=12 guard_rejects=0 recovered=1 final_rounds=4 stop=stalled \
+       scoring=28800/13150/13/48453/17164/120789" );
+    ( "kill and resume",
+      golden_kill_resume cavlc_er1 (Circuits.Epfl_control.cavlc ()),
+      "aig=654c1a831a777bc900c649519ac75eab events=12:2b9de8708de8 \
+       applied=12 guard_rejects=0 recovered=0 final_rounds=4 stop=stalled \
+       scoring=27916/12540/11/47717/16892/119042" );
+  ]
+
+let golden_tests =
+  List.concat_map
+    (fun (name, run, expected) ->
+      List.map
+        (fun jobs ->
+          Alcotest.test_case (Printf.sprintf "%s, jobs %d" name jobs) `Slow
+            (fun () ->
+              Alcotest.(check string) "golden summary" expected
+                (golden_summary (run ~jobs))))
+        [ 1; 4 ])
+    golden_rows
 
 let () =
   Alcotest.run "core-alsrac"
@@ -271,7 +398,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_flow_deterministic;
           Alcotest.test_case "rounds shrink" `Quick test_flow_rounds_shrink;
           Alcotest.test_case "depth guard" `Quick test_flow_depth_guard;
-          Alcotest.test_case "odc masked scan" `Quick test_odc_masked_scan;
-          Alcotest.test_case "odc flow" `Quick test_flow_with_odc;
         ] );
+      ("golden", golden_tests);
     ]

@@ -81,69 +81,6 @@ let test_evaluate_known_er () =
   ignore (Graph.add_po h Graph.const0);
   check_float "er 1/4" 0.25 (Metrics.evaluate Metrics.Er ~original:g ~approx:h)
 
-(* ---------- Observability ---------- *)
-
-let test_observability_tree_exact () =
-  (* On a fanout-free tree the backward masks are exact: compare against
-     flip-and-resimulate. *)
-  let rng = Logic.Rng.create 17 in
-  for _ = 1 to 10 do
-    (* Build a random tree: every node used exactly once. *)
-    let g = Graph.create () in
-    let pool = ref (List.init 8 (fun _ -> Graph.add_pi g)) in
-    while List.length !pool > 1 do
-      match !pool with
-      | a :: b :: rest ->
-          let a = if Logic.Rng.bool rng then Graph.lit_not a else a in
-          let b = if Logic.Rng.bool rng then Graph.lit_not b else b in
-          pool := rest @ [ Graph.and_ g a b ]
-      | _ -> assert false
-    done;
-    ignore (Graph.add_po g (List.hd !pool));
-    let pats = Sim.Patterns.exhaustive ~npis:8 in
-    let sigs = Sim.Engine.simulate g pats in
-    let obs = Errest.Observability.masks g ~sigs in
-    Graph.iter_ands g (fun id ->
-        let tfo = Aig.Cone.tfo_mask g id in
-        let flipped = Bitvec.lognot sigs.(id) in
-        let pos = Sim.Engine.resimulate_tfo g ~base:sigs ~tfo ~node:id ~value:flipped in
-        let golden = Sim.Engine.po_values g sigs in
-        let diff = Bitvec.create (Bitvec.length flipped) in
-        Array.iteri
-          (fun i p -> Bitvec.logor_inplace diff (Bitvec.logxor p golden.(i)))
-          pos;
-        check "tree observability exact" true (Bitvec.equal diff obs.(id)))
-  done
-
-let test_observability_po_drivers_full () =
-  (* A PO driver is always fully observable, and the heuristic should agree
-     with exact propagation on a clear majority of (node, round) pairs even
-     under reconvergence. *)
-  let rng = Logic.Rng.create 23 in
-  for _ = 1 to 10 do
-    let g = Util.random_graph rng ~npis:6 ~nands:30 in
-    let pats = Sim.Patterns.exhaustive ~npis:6 in
-    let sigs = Sim.Engine.simulate g pats in
-    let obs = Errest.Observability.masks g ~sigs in
-    Graph.iter_pos g (fun _ l ->
-        let id = Graph.node_of l in
-        if not (Graph.is_const id) then
-          check "po driver fully observable" true (Bitvec.is_ones obs.(id)));
-    let golden = Sim.Engine.po_values g sigs in
-    let agree = ref 0 and total = ref 0 in
-    Graph.iter_ands g (fun id ->
-        let tfo = Aig.Cone.tfo_mask g id in
-        let flipped = Bitvec.lognot sigs.(id) in
-        let pos = Sim.Engine.resimulate_tfo g ~base:sigs ~tfo ~node:id ~value:flipped in
-        let diff = Bitvec.create (Bitvec.length flipped) in
-        Array.iteri (fun i p -> Bitvec.logor_inplace diff (Bitvec.logxor p golden.(i))) pos;
-        total := !total + Bitvec.length diff;
-        agree := !agree + (Bitvec.length diff - Bitvec.hamming diff obs.(id)));
-    if !total > 0 then
-      check "heuristic mostly agrees with exact" true
-        (float_of_int !agree /. float_of_int !total > 0.8)
-  done
-
 (* ---------- Batch ---------- *)
 
 let prop_batch_equals_rebuild =
@@ -1243,11 +1180,6 @@ let () =
           Alcotest.test_case "shape mismatch" `Quick test_shape_mismatch;
           Alcotest.test_case "compare graphs" `Quick test_compare_graphs_exact;
           Alcotest.test_case "evaluate known" `Quick test_evaluate_known_er;
-        ] );
-      ( "observability",
-        [
-          Alcotest.test_case "exact on trees" `Quick test_observability_tree_exact;
-          Alcotest.test_case "po drivers / agreement" `Quick test_observability_po_drivers_full;
         ] );
       ( "batch",
         [ Alcotest.test_case "base error" `Quick test_batch_base_error_zero ]

@@ -1,7 +1,6 @@
 (* lib/explore: canonical Pareto fronts (unit + property tests), budget
-   ladders, the UCB1 bandit policy (including journaled kill/resume), and
-   the corpus sweep's resume/shard/jobs determinism — down to a SIGKILL of
-   the real CLI mid-corpus. *)
+   ladders, and the corpus sweep's resume/shard/jobs determinism — down to
+   a SIGKILL of the real CLI mid-corpus. *)
 
 module F = Explore.Front
 module Rng = Logic.Rng
@@ -161,108 +160,6 @@ let test_ladder_max_budgets () =
       | Error e -> Alcotest.fail e)
   | Error e -> Alcotest.fail e
 
-(* ---------- Policy ---------- *)
-
-let test_policy_classify_bounds () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 1000 do
-    let a =
-      Explore.Policy.classify
-        ~depth_frac:(Rng.float rng *. 1.5)
-        ~ndivisors:(Rng.int rng 9)
-    in
-    check "arm in range" true (a >= 0 && a < Explore.Policy.arms)
-  done
-
-let is_permutation order =
-  let seen = Array.make Explore.Policy.arms false in
-  Array.length order = Explore.Policy.arms
-  && Array.for_all
-       (fun a ->
-         a >= 0 && a < Explore.Policy.arms && not seen.(a) && (seen.(a) <- true; true))
-       order
-
-let test_policy_deterministic_and_restorable () =
-  let feed_script h =
-    List.iter
-      (fun (arm, reward) -> h.Core.Config.feed ~arm ~reward)
-      [ (3, 0.5); (3, 0.25); (7, 0.9); (1, 0.0); (7, 0.8); (11, 0.1) ]
-  in
-  let h1 = Explore.Policy.hook () and h2 = Explore.Policy.hook () in
-  check "untried order is by index" true
-    (h1.Core.Config.choose () = Array.init Explore.Policy.arms Fun.id);
-  feed_script h1;
-  feed_script h2;
-  check "permutation" true (is_permutation (h1.Core.Config.choose ()));
-  check "same history, same order" true
-    (h1.Core.Config.choose () = h2.Core.Config.choose ());
-  let h3 = Explore.Policy.hook () in
-  h3.Core.Config.restore_state (h1.Core.Config.policy_state ());
-  check "state restore preserves order" true
-    (h1.Core.Config.choose () = h3.Core.Config.choose ());
-  check_str "state serialization is stable"
-    (h1.Core.Config.policy_state ())
-    (h3.Core.Config.policy_state ());
-  match h3.Core.Config.restore_state "ucb1 garbage" with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ()
-
-(* ---------- Flow with the bandit: determinism and kill/resume ---------- *)
-
-let bandit_config =
-  { (Core.Config.default ~metric:Errest.Metrics.Er ~threshold:0.05) with
-    Core.Config.eval_rounds = 1024; max_iters = 12; seed = 7;
-    policy = Explore.Policy.make Explore.Policy.Bandit }
-
-let circuit () = Circuits.Epfl_control.cavlc ()
-
-let bandit_baseline =
-  lazy
-    (Core.Flow.run
-       ~config:{ bandit_config with Core.Config.policy = Explore.Policy.make Explore.Policy.Bandit }
-       (circuit ()))
-
-let test_bandit_flow_deterministic () =
-  let a1, r1 = Lazy.force bandit_baseline in
-  let a2, r2 =
-    Core.Flow.run
-      ~config:{ bandit_config with Core.Config.policy = Explore.Policy.make Explore.Policy.Bandit }
-      (circuit ())
-  in
-  check "bandit accepted something" true (r1.Core.Flow.applied > 0);
-  check_int "same ands" (Aig.Graph.num_ands a1) (Aig.Graph.num_ands a2);
-  check "same events" true (r1.Core.Flow.events = r2.Core.Flow.events);
-  match r1.Core.Flow.policy with
-  | Some pr ->
-      check_str "reported policy name" Explore.Policy.bandit_name
-        pr.Core.Flow.policy_name;
-      check_int "arm stats cover all arms" Explore.Policy.arms
-        (Array.length pr.Core.Flow.arm_stats)
-  | None -> Alcotest.fail "bandit run reported no policy stats"
-
-let test_bandit_kill_and_resume () =
-  let a_full, r_full = Lazy.force bandit_baseline in
-  check "baseline applied enough LACs" true (r_full.Core.Flow.applied >= 4);
-  let dir = fresh_dir () in
-  let config =
-    { bandit_config with
-      Core.Config.policy = Explore.Policy.make Explore.Policy.Bandit;
-      fault = [ Core.Fault.Kill_after { applied = 3 } ] }
-  in
-  (match Core.Flow.run ~journal:dir ~config (circuit ()) with
-  | _ -> Alcotest.fail "expected the injected kill to fire"
-  | exception Core.Fault.Killed -> ());
-  (* Resuming without the bandit hook must refuse: the policy is code,
-     the journal only names it. *)
-  (match Core.Flow.resume dir with
-  | _ -> Alcotest.fail "resume without the policy hook should fail"
-  | exception Failure _ -> ());
-  let a_res, r_res = Core.Flow.resume ~policy:(Explore.Policy.hook ()) dir in
-  check "resumed flag set" true r_res.Core.Flow.resumed;
-  check_int "same final AND count" (Aig.Graph.num_ands a_full) (Aig.Graph.num_ands a_res);
-  check_int "same applied count" r_full.Core.Flow.applied r_res.Core.Flow.applied;
-  check "identical PO behaviour" true (Util.equivalent a_full a_res)
-
 (* ---------- Sweep: resume idempotence, shard and jobs invariance ---------- *)
 
 let tiny_spec dir =
@@ -271,7 +168,6 @@ let tiny_spec dir =
     benchmarks = [ "ctrl"; "int2float" ];
     ladders =
       [ { Explore.Ladder.metric = Errest.Metrics.Er; budgets = [ 0.01; 0.05 ] } ];
-    policy = Explore.Policy.Greedy;
     seed = 1;
     eval_rounds = 128;
     max_iters = 3;
@@ -332,12 +228,24 @@ let test_sweep_rejects () =
   (match Explore.Sweep.run { (tiny_spec (fresh_dir ())) with Explore.Sweep.shards = 2; shard_id = 2 } with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted shard_id >= shards");
-  match
-    Explore.Sweep.run
-      { (tiny_spec (fresh_dir ())) with Explore.Sweep.benchmarks = [ "nonesuch" ] }
-  with
+  (match
+     Explore.Sweep.run
+       { (tiny_spec (fresh_dir ())) with Explore.Sweep.benchmarks = [ "nonesuch" ] }
+   with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted an unknown benchmark"
+  | Ok _ -> Alcotest.fail "accepted an unknown benchmark");
+  (* A sweep directory from the previous manifest format (it still named a
+     candidate-selection policy) is refused, not converted. *)
+  let dir = fresh_dir () in
+  Sys.mkdir dir 0o755;
+  Circuit_io.Atomic_file.write (Filename.concat dir "manifest")
+    "alsrac-explore 1\nbenchmarks ctrl\nladder er=0x1.47ae147ae147bp-7\n\
+     policy greedy\nseed 1\neval_rounds 128\nmax_iters 3\ndistr unif\nend\n";
+  match Explore.Sweep.run (tiny_spec dir) with
+  | _ -> Alcotest.fail "accepted a version-1 explore manifest"
+  | exception Failure msg ->
+      check "names the old version" true (Util.contains msg "alsrac-explore 1");
+      check "asks for a re-run" true (Util.contains msg "re-run")
 
 (* ---------- Sweep: worst-case ladders and enumerated distributions ---------- *)
 
@@ -529,17 +437,6 @@ let () =
           Alcotest.test_case "round-trip and rejects" `Quick
             test_ladder_roundtrip_and_rejects;
           Alcotest.test_case "worst-case budgets" `Quick test_ladder_max_budgets;
-        ] );
-      ( "policy",
-        [
-          Alcotest.test_case "classify bounds" `Quick test_policy_classify_bounds;
-          Alcotest.test_case "deterministic and restorable" `Quick
-            test_policy_deterministic_and_restorable;
-        ] );
-      ( "bandit-flow",
-        [
-          Alcotest.test_case "deterministic" `Slow test_bandit_flow_deterministic;
-          Alcotest.test_case "kill and resume" `Slow test_bandit_kill_and_resume;
         ] );
       ( "sweep",
         [

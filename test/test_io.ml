@@ -107,10 +107,7 @@ let test_mapped_blif_parses_back () =
   let g' = Circuit_io.Blif.parse text in
   check "mapped blif equivalent to source" true (Util.equivalent g g')
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+let contains = Util.contains
 
 let test_verilog_output () =
   let g = sample_graph () in

@@ -31,7 +31,6 @@ let test_config_roundtrip () =
       scale = 0.85;
       max_seconds = infinity;
       input_probs = Some [| 0.25; 0.5; 0.75 |];
-      use_odc = true;
       guard = false;
       confidence = 0.99 }
   in
@@ -53,18 +52,16 @@ let test_journal_record_load_roundtrip () =
   let j = Core.Journal.create ~dir ~config:base_config ~original in
   let state =
     {
-      Core.Journal.rng_state = -4676534741114219574L;
+      Core.Journal.rng = Logic.Rng.of_state (-4676534741114219574L);
       rounds = 28;
       patience = 2;
       shrinks_at_floor = 1;
       applied = 3;
       iteration = 9;
       accepts_since_full = 3;
-      last_error = 0.015625;
       guard_rejects = 1;
       recovered_exns = 2;
       quarantined = [ 17; 42 ];
-      policy_state = "";
       events =
         [
           { Core.Journal.iteration = 9; target = 31; est_error = 0.015625;
@@ -82,7 +79,30 @@ let test_journal_record_load_roundtrip () =
   | Some s -> check "state round-trips" true (s = state));
   check_int "graph round-trips" (Graph.num_ands original)
     (Graph.num_ands r.Core.Journal.graph);
-  check "config round-trips" true (r.Core.Journal.config = base_config)
+  check "config round-trips" true (r.Core.Journal.config = base_config);
+  (* Files of the previous format version are refused with one clear
+     message, never converted: version 1 still carried candidate-selection
+     policy state. *)
+  let rewrite_header path old_header =
+    let text = Circuit_io.Atomic_file.read path in
+    let nl = String.index text '\n' in
+    Circuit_io.Atomic_file.write path
+      (old_header ^ String.sub text nl (String.length text - nl));
+    text
+  in
+  let expect_outdated what old_header =
+    match Core.Journal.load dir with
+    | _ -> Alcotest.fail ("accepted a version-1 " ^ what)
+    | exception Failure msg ->
+        check ("names the old " ^ what ^ " version") true (Util.contains msg old_header);
+        check "asks for a re-run" true (Util.contains msg "re-run")
+  in
+  let manifest = Filename.concat dir "manifest" in
+  let v2 = rewrite_header manifest "alsrac-journal 1" in
+  expect_outdated "manifest" "alsrac-journal 1";
+  Circuit_io.Atomic_file.write manifest v2;
+  ignore (rewrite_header (Filename.concat dir "checkpoint") "alsrac-checkpoint 1");
+  expect_outdated "checkpoint" "alsrac-checkpoint 1"
 
 (* ---------- Kill-and-resume determinism ---------- *)
 
@@ -252,6 +272,41 @@ let test_faulty_run_still_journals () =
   check "fault counters persisted across resume" true
     (report.Core.Flow.guard_rejects >= 1 || report.Core.Flow.recovered_exns >= 1)
 
+(* ---------- Stop reasons ---------- *)
+
+(* A cancel hook that never cancels, but sleeps [seconds] on the flow
+   loop's first once-per-iteration poll, so that iteration overruns a
+   [max_seconds] budget of at most [seconds].  The same hook also serves as
+   the pool's chunk-boundary check; those polls are told apart by their
+   caller's frame. *)
+let sleep_on_first_iteration seconds =
+  let slept = ref false in
+  fun () ->
+    (if not !slept then
+       match Printexc.backtrace_slots (Printexc.get_callstack 2) with
+       | Some slots when Array.length slots = 2 -> (
+           match Printexc.Slot.name slots.(1) with
+           | Some name when String.starts_with ~prefix:"Core__Flow." name ->
+               slept := true;
+               Unix.sleepf seconds
+           | Some _ | None -> ())
+       | Some _ | None -> ());
+    false
+
+let test_timed_out_only_from_the_clock () =
+  (* The overrunning iteration is also the one that reaches [max_iters]:
+     the run ended because of the cap, and must say so. *)
+  let config = { base_config with Core.Config.max_seconds = 1.0; max_iters = 1 } in
+  let _, r = Core.Flow.run ~cancel:(sleep_on_first_iteration 1.0) ~config (circuit ()) in
+  check "the budget was overrun" true (r.Core.Flow.wall_s >= 1.0);
+  check_int "the slow iteration applied its LAC" 1 r.Core.Flow.applied;
+  check "genuine stop reason kept" true (r.Core.Flow.stop_reason = Core.Flow.Max_iters);
+  (* Without the cap, the next loop check sees the clock. *)
+  let config = { config with Core.Config.max_iters = 10_000 } in
+  let _, r = Core.Flow.run ~cancel:(sleep_on_first_iteration 1.0) ~config (circuit ()) in
+  check_int "one iteration ran" 1 r.Core.Flow.applied;
+  check "clock ends the run" true (r.Core.Flow.stop_reason = Core.Flow.Timed_out)
+
 let () =
   Alcotest.run "resilience"
     [
@@ -286,5 +341,10 @@ let () =
           Alcotest.test_case "injected exception recovered" `Slow
             test_injected_exception_recovered;
           Alcotest.test_case "faults + journal compose" `Slow test_faulty_run_still_journals;
+        ] );
+      ( "stop",
+        [
+          Alcotest.test_case "timed-out only from the clock" `Slow
+            test_timed_out_only_from_the_clock;
         ] );
     ]

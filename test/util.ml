@@ -88,3 +88,8 @@ let check_spec ?(rounds = 256) ~seed g spec =
   done
 
 let qcheck_cases tests = List.map QCheck_alcotest.to_alcotest tests
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
