@@ -177,10 +177,15 @@ let approx_cmd spec metric threshold method_ seed eval_rounds mapping output jou
   let* metric, threshold =
     match max_error with
     | None -> Ok (metric, threshold)
-    | Some e when e < 0.0 -> Error (`Msg "--max-error must be non-negative")
+    | Some e when not (e >= 0.0) ->
+        Error (`Msg "--max-error must be a non-negative number")
     | Some e ->
         if Errest.Metrics.is_max metric then Ok (metric, e)
         else Ok (Errest.Metrics.Maxed, e)
+  in
+  let* () =
+    if threshold >= 0.0 then Ok ()
+    else Error (`Msg "--threshold must be a non-negative number")
   in
   let* distr = parse_distr distr in
   let* g = load spec in

@@ -7,9 +7,7 @@ type t = {
   lac_limit : int;
   patience : int;
   scale : float;
-  min_rounds : int;
   eval_rounds : int;
-  max_tfi_divisors : int;
   seed : int;
   resyn : resyn_level;
   max_iters : int;
@@ -19,8 +17,6 @@ type t = {
   input_probs : float array option;
   max_depth_growth : float;
   guard : bool;
-  guard_tol : float;
-  confidence : float;
   certify_exact : bool;
   exact_resub : bool;
   fault : Fault.plan;
@@ -35,9 +31,7 @@ let default ~metric ~threshold =
     lac_limit = 1;
     patience = 5;
     scale = 0.9;
-    min_rounds = 4;
     eval_rounds = 4096;
-    max_tfi_divisors = 5000;
     seed = 1;
     resyn = Compress2;
     max_iters = 10_000;
@@ -47,8 +41,6 @@ let default ~metric ~threshold =
     input_probs = None;
     max_depth_growth = 1.3;
     guard = true;
-    guard_tol = 1e-9;
-    confidence = 0.999;
     certify_exact = false;
     exact_resub = false;
     fault = Fault.none;

@@ -9,9 +9,7 @@ type t = {
   lac_limit : int;  (** per-node LAC limit [L] (paper: 1) *)
   patience : int;  (** controlling parameter [t] (paper: 5) *)
   scale : float;  (** scaling factor [r] (paper: 0.9) *)
-  min_rounds : int;  (** lower bound on [N] when shrinking *)
   eval_rounds : int;  (** Monte-Carlo sample for LAC error estimation *)
-  max_tfi_divisors : int;  (** cap on TFI nodes scanned per target node *)
   seed : int;  (** PRNG seed: fixes the whole run *)
   resyn : resyn_level;  (** Algorithm 3 line 9 optimization strength *)
   max_iters : int;  (** safety cap on accepted LACs *)
@@ -37,17 +35,6 @@ type t = {
           against the prediction; on violation roll back to the last good
           graph and quarantine the target instead of keeping a poisoned
           circuit.  Default on. *)
-  guard_tol : float;
-      (** absolute slack allowed between the predicted candidate error and
-          the re-measured error before the guard trips (exact transforms
-          should agree bit-for-bit; this only absorbs float-summation
-          noise) *)
-  confidence : float;
-      (** confidence for the Hoeffding-certified upper bound on the final
-          sampled error (reported only for [0,1]-bounded mean metrics,
-          {!Errest.Metrics.bounded_mean}; max metrics get an exact miter
-          certificate instead — see {!Errest.Certify} and
-          {!Errest.Maxerr}) *)
   certify_exact : bool;
       (** machine-checked verification of the run's trust assumptions
           (default off): every exact-transform application (inter-iteration

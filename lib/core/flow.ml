@@ -101,6 +101,17 @@ let fatal = function
 
 let max_recovered_exns = 50
 
+(* Floor of the care-simulation round count [N] when shrinking. *)
+let min_rounds = 4
+
+(* Absolute slack allowed between a candidate's predicted error and its
+   re-measured error before the guard trips: the transforms between them
+   are exact, so this only absorbs float-summation noise. *)
+let guard_tol = 1e-9
+
+(* Confidence of the Hoeffding-certified upper bound on the final error. *)
+let confidence = 0.999
+
 (* ---------- Loop state ----------
 
    Everything the phases of one run share.  The run's fixed context comes
@@ -153,11 +164,14 @@ let setup ~(config : Config.t) ~pool ~journal ~original ~init g_start =
   (match Errest.Distr.validate_npis config.distr ~npis with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Flow: " ^ msg));
+  (* NaN compares false against every candidate error, so a NaN budget
+     would accept every LAC until the circuit is gone. *)
+  if not (config.threshold >= 0.0) then
+    invalid_arg "Flow: the threshold must be a non-negative number";
   let rng0 = Logic.Rng.create config.seed in
   let exhaustive =
     config.input_probs = None
-    && npis <= Sim.Patterns.exhaustive_limit
-    && 1 lsl npis <= config.eval_rounds
+    && Sim.Patterns.exhaustive_fits ~npis ~rounds:config.eval_rounds
   in
   let eval_pats, eval_weights = eval_set (Logic.Rng.split rng0) config ~npis ~exhaustive in
   let golden = Sim.Engine.simulate_pos ~pool original eval_pats in
@@ -284,7 +298,7 @@ let guard_violation l g' ~predicted =
     | Error msg -> Some msg
     | Ok () ->
         let measured = measure_error l g' in
-        if Float.abs (measured -. predicted) > l.config.guard_tol then
+        if Float.abs (measured -. predicted) > guard_tol then
           Some
             (Printf.sprintf "signature probe: measured %.9g vs predicted %.9g" measured
                predicted)
@@ -380,7 +394,7 @@ let recheck l ~err (lac : Lac.t) optimized =
   let dev = Float.abs (e2 -. err) in
   let tolerance =
     match config.distr with
-    | Errest.Distr.Enum _ -> Some config.guard_tol
+    | Errest.Distr.Enum _ -> Some guard_tol
     | Errest.Distr.Unif when Errest.Metrics.bounded_mean config.metric ->
         (* Both estimates concentrate around the true error; their gap is
            bounded by the sum of the two one-sided Hoeffding margins. *)
@@ -517,9 +531,8 @@ let shrink_rounds l =
   st.patience <- st.patience + 1;
   if st.patience >= l.config.patience then begin
     st.patience <- 0;
-    if st.rounds > l.config.min_rounds then
-      st.rounds <-
-        max l.config.min_rounds (int_of_float (float_of_int st.rounds *. l.config.scale))
+    if st.rounds > min_rounds then
+      st.rounds <- max min_rounds (int_of_float (float_of_int st.rounds *. l.config.scale))
     else begin
       st.shrinks_at_floor <- st.shrinks_at_floor + 1;
       if st.shrinks_at_floor > 3 then l.stop <- Some Stalled
@@ -619,7 +632,7 @@ let certificate l final_err =
           {
             upper =
               Errest.Certify.upper_bound ~sampled:final_err ~samples:(eval_len l)
-                ~confidence:config.confidence;
+                ~confidence;
             family = Hoeffding;
           }
       else None

@@ -50,8 +50,9 @@ type certify = {
   lac_recheck_failures : int;
       (** rechecks deviating beyond the applicable tolerance: the
           two-sample Hoeffding tolerance for [0,1]-bounded mean metrics
-          under the uniform distribution, [guard_tol] under an enumerated
-          distribution (both measurements are exact over the support);
+          under the uniform distribution, the guard's float-noise slack
+          under an enumerated distribution (both measurements are exact
+          over the support);
           deviations of unbounded means and max metrics are recorded but
           not judged — no such tolerance exists for them *)
   lac_max_deviation : float;
@@ -84,7 +85,7 @@ type stop_reason =
 
 type bound_family =
   | Hoeffding
-      (** statistical upper bound at [Config.confidence], sound only for
+      (** statistical upper bound at confidence 0.999, sound only for
           [0,1]-bounded mean metrics ({!Errest.Metrics.bounded_mean}) under
           Monte-Carlo uniform sampling *)
   | Exhaustive
@@ -153,7 +154,8 @@ val run :
     directory to checkpoint into ({!Journal.create} — a fresh run, wiping
     any previous checkpoints there).  A worker pool of [config.jobs] lanes
     runs simulation, LAC generation and candidate scoring; every result is
-    bit-identical to [jobs = 1].
+    bit-identical to [jobs = 1].  Raises [Invalid_argument] when
+    [config.threshold] is NaN or negative.
 
     [?cancel] is a cooperative-cancellation hook, polled once per iteration
     and at every pool chunk boundary; when it returns [true] the run raises

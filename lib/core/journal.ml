@@ -54,52 +54,12 @@ let checkpoint_prev_file dir = Filename.concat dir "checkpoint.prev"
 
 let dir t = t.dir
 
-(* ---------- Format versions ---------- *)
+(* ---------- Serialization (one Circuit_io.Record each) ---------- *)
 
-let manifest_header = "alsrac-journal 2"
-let checkpoint_header = "alsrac-checkpoint 2"
+module Record = Circuit_io.Record
 
-let outdated_header ~current line =
-  match (String.split_on_char ' ' line, String.split_on_char ' ' current) with
-  | [ name; v ], [ name'; v' ] when name = name' -> (
-      match (int_of_string_opt v, int_of_string_opt v') with
-      | Some v, Some v' -> v >= 1 && v < v'
-      | _ -> false)
-  | _ -> false
-
-let check_header ~what ~current line =
-  if line <> current then
-    if outdated_header ~current line then
-      failwith
-        (Printf.sprintf
-           "%s: format %S is no longer supported (this build reads %S); \
-            re-run from scratch"
-           what line current)
-    else failwith (Printf.sprintf "%s: bad header" what)
-
-(* ---------- Scalars ---------- *)
-
-(* Hex floats round-trip exactly; [infinity] needs a spelling of its own. *)
-let emit_float f =
-  if f = infinity then "inf"
-  else if f = neg_infinity then "-inf"
-  else Printf.sprintf "%h" f
-
-let parse_float_exn what s =
-  match s with
-  | "inf" -> infinity
-  | "-inf" -> neg_infinity
-  | _ -> (
-      match float_of_string_opt s with
-      | Some f -> f
-      | None -> failwith (Printf.sprintf "journal: bad float for %s: %S" what s))
-
-let parse_int_exn what s =
-  match int_of_string_opt s with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "journal: bad integer for %s: %S" what s)
-
-(* ---------- Config serialization ---------- *)
+let manifest_header = "alsrac-journal 3"
+let checkpoint_header = "alsrac-checkpoint 3"
 
 let resyn_to_string = function
   | Config.No_resyn -> "none"
@@ -107,227 +67,139 @@ let resyn_to_string = function
   | Config.Compress2 -> "compress2"
 
 let resyn_of_string = function
-  | "none" -> Config.No_resyn
-  | "light" -> Config.Light
-  | "compress2" -> Config.Compress2
-  | s -> failwith (Printf.sprintf "journal: bad resyn level %S" s)
+  | "none" -> Some Config.No_resyn
+  | "light" -> Some Config.Light
+  | "compress2" -> Some Config.Compress2
+  | _ -> None
+
+(* [sep]-separated values, every one of which [parse] must accept. *)
+let parse_list sep parse s =
+  let xs = List.map parse (String.split_on_char sep s) in
+  if List.mem None xs then None else Some (List.map Option.get xs)
 
 let config_to_string (c : Config.t) =
-  let buf = Buffer.create 512 in
-  let kv k v = Buffer.add_string buf (Printf.sprintf "%s %s\n" k v) in
-  kv "metric" (Errest.Metrics.kind_to_string c.metric);
-  kv "threshold" (emit_float c.threshold);
-  kv "sim_rounds" (string_of_int c.sim_rounds);
-  kv "lac_limit" (string_of_int c.lac_limit);
-  kv "patience" (string_of_int c.patience);
-  kv "scale" (emit_float c.scale);
-  kv "min_rounds" (string_of_int c.min_rounds);
-  kv "eval_rounds" (string_of_int c.eval_rounds);
-  kv "max_tfi_divisors" (string_of_int c.max_tfi_divisors);
-  kv "seed" (string_of_int c.seed);
-  kv "resyn" (resyn_to_string c.resyn);
-  kv "max_iters" (string_of_int c.max_iters);
-  kv "margin" (emit_float c.margin);
-  kv "max_seconds" (emit_float c.max_seconds);
-  kv "distr" (Errest.Distr.to_string c.distr);
-  (match c.input_probs with
-  | None -> kv "input_probs" "none"
-  | Some probs ->
-      kv "input_probs"
-        (String.concat "," (Array.to_list (Array.map emit_float probs))));
-  kv "max_depth_growth" (emit_float c.max_depth_growth);
-  kv "guard" (string_of_bool c.guard);
-  kv "guard_tol" (emit_float c.guard_tol);
-  kv "confidence" (emit_float c.confidence);
-  kv "certify_exact" (string_of_bool c.certify_exact);
-  kv "exact_resub" (string_of_bool c.exact_resub);
-  kv "jobs" (string_of_int c.jobs);
-  (* The fault plan is deliberately NOT persisted: injected faults belong to
-     one process's run, not to the journal a resumed run continues from. *)
-  Buffer.contents buf
-
-let parse_bool_exn what s =
-  match bool_of_string_opt s with
-  | Some b -> b
-  | None -> failwith (Printf.sprintf "journal: bad boolean for %s: %S" what s)
+  let float = Record.float_to_string and int = string_of_int in
+  Record.encode ~header:manifest_header
+    [
+      ("metric", Errest.Metrics.kind_to_string c.metric);
+      ("threshold", float c.threshold);
+      ("sim_rounds", int c.sim_rounds);
+      ("lac_limit", int c.lac_limit);
+      ("patience", int c.patience);
+      ("scale", float c.scale);
+      ("eval_rounds", int c.eval_rounds);
+      ("seed", int c.seed);
+      ("resyn", resyn_to_string c.resyn);
+      ("max_iters", int c.max_iters);
+      ("margin", float c.margin);
+      ("max_seconds", float c.max_seconds);
+      ("distr", Errest.Distr.to_string c.distr);
+      ( "input_probs",
+        match c.input_probs with
+        | None -> "none"
+        | Some probs -> String.concat "," (Array.to_list (Array.map float probs)) );
+      ("max_depth_growth", float c.max_depth_growth);
+      ("guard", string_of_bool c.guard);
+      ("certify_exact", string_of_bool c.certify_exact);
+      ("exact_resub", string_of_bool c.exact_resub);
+      ("jobs", int c.jobs);
+      (* The fault plan is deliberately NOT persisted: injected faults
+         belong to one process's run, not to the journal a resumed run
+         continues from. *)
+    ]
 
 let config_of_string text =
-  let c = ref (Config.default ~metric:Errest.Metrics.Er ~threshold:0.0) in
-  String.split_on_char '\n' text
-  |> List.iter (fun line ->
-         let line = String.trim line in
-         if line <> "" then
-           let key, value =
-             match String.index_opt line ' ' with
-             | Some sp ->
-                 ( String.sub line 0 sp,
-                   String.sub line (sp + 1) (String.length line - sp - 1) )
-             | None -> (line, "")
-           in
-           match key with
-           | "metric" -> (
-               match Errest.Metrics.kind_of_string value with
-               | Some m -> c := { !c with Config.metric = m }
-               | None -> failwith (Printf.sprintf "journal: bad metric %S" value))
-           | "threshold" -> c := { !c with Config.threshold = parse_float_exn key value }
-           | "sim_rounds" -> c := { !c with Config.sim_rounds = parse_int_exn key value }
-           | "lac_limit" -> c := { !c with Config.lac_limit = parse_int_exn key value }
-           | "patience" -> c := { !c with Config.patience = parse_int_exn key value }
-           | "scale" -> c := { !c with Config.scale = parse_float_exn key value }
-           | "min_rounds" -> c := { !c with Config.min_rounds = parse_int_exn key value }
-           | "eval_rounds" -> c := { !c with Config.eval_rounds = parse_int_exn key value }
-           | "max_tfi_divisors" ->
-               c := { !c with Config.max_tfi_divisors = parse_int_exn key value }
-           | "seed" -> c := { !c with Config.seed = parse_int_exn key value }
-           | "resyn" -> c := { !c with Config.resyn = resyn_of_string value }
-           | "max_iters" -> c := { !c with Config.max_iters = parse_int_exn key value }
-           | "margin" -> c := { !c with Config.margin = parse_float_exn key value }
-           | "max_seconds" -> c := { !c with Config.max_seconds = parse_float_exn key value }
-           | "distr" -> (
-               match Errest.Distr.of_string value with
-               | Ok d -> c := { !c with Config.distr = d }
-               | Error msg ->
-                   failwith (Printf.sprintf "journal: bad distr: %s" msg))
-           | "input_probs" ->
-               let probs =
-                 if value = "none" then None
-                 else
-                   Some
-                     (String.split_on_char ',' value
-                     |> List.map (parse_float_exn key)
-                     |> Array.of_list)
-               in
-               c := { !c with Config.input_probs = probs }
-           | "max_depth_growth" ->
-               c := { !c with Config.max_depth_growth = parse_float_exn key value }
-           | "guard" -> c := { !c with Config.guard = parse_bool_exn key value }
-           | "guard_tol" -> c := { !c with Config.guard_tol = parse_float_exn key value }
-           | "confidence" -> c := { !c with Config.confidence = parse_float_exn key value }
-           | "certify_exact" ->
-               c := { !c with Config.certify_exact = parse_bool_exn key value }
-           | "exact_resub" ->
-               c := { !c with Config.exact_resub = parse_bool_exn key value }
-           | "jobs" -> c := { !c with Config.jobs = parse_int_exn key value }
-           | _ -> failwith (Printf.sprintf "journal: unknown config key %S" key));
-  !c
+  let r = Record.decode ~what:"journal manifest" ~header:manifest_header text in
+  let float = Record.float r and int = Record.int r in
+  {
+    Config.metric = Record.get_as r "metric" Errest.Metrics.kind_of_string;
+    threshold = float "threshold";
+    sim_rounds = int "sim_rounds";
+    lac_limit = int "lac_limit";
+    patience = int "patience";
+    scale = float "scale";
+    eval_rounds = int "eval_rounds";
+    seed = int "seed";
+    resyn = Record.get_as r "resyn" resyn_of_string;
+    max_iters = int "max_iters";
+    margin = float "margin";
+    max_seconds = float "max_seconds";
+    distr =
+      (match Errest.Distr.of_string (Record.get r "distr") with
+      | Ok d -> d
+      | Error msg -> Record.fail r ("bad distr: " ^ msg));
+    input_probs =
+      Record.get_as r "input_probs" (function
+        | "none" -> Some None
+        | s ->
+            Option.map
+              (fun l -> Some (Array.of_list l))
+              (parse_list ',' Record.float_of_string s));
+    max_depth_growth = float "max_depth_growth";
+    guard = Record.bool r "guard";
+    certify_exact = Record.bool r "certify_exact";
+    exact_resub = Record.bool r "exact_resub";
+    fault = Fault.none;
+    jobs = int "jobs";
+  }
 
-(* ---------- Checkpoint serialization ---------- *)
+let event_to_string (e : event) =
+  Printf.sprintf "%d %d %s %d %d" e.iteration e.target
+    (Record.float_to_string e.est_error) e.ands_after e.rounds
 
-let checksum s =
-  let h = ref 0 in
-  String.iter (fun ch -> h := ((!h * 131) + Char.code ch) land 0x3FFFFFFF) s;
-  !h
+let event_of_string s =
+  Scanf.sscanf_opt s "%d %d %s %d %d%!" (fun iteration target err ands_after rounds ->
+      Option.map
+        (fun est_error -> { iteration; target; est_error; ands_after; rounds })
+        (Record.float_of_string err))
+  |> Option.join
 
 let state_to_string state graph_text =
-  let buf = Buffer.create (String.length graph_text + 1024) in
-  let kv k v = Buffer.add_string buf (Printf.sprintf "%s %s\n" k v) in
-  Buffer.add_string buf (checkpoint_header ^ "\n");
-  kv "rng" (Int64.to_string (Logic.Rng.state state.rng));
-  kv "rounds" (string_of_int state.rounds);
-  kv "patience" (string_of_int state.patience);
-  kv "shrinks_at_floor" (string_of_int state.shrinks_at_floor);
-  kv "applied" (string_of_int state.applied);
-  kv "iteration" (string_of_int state.iteration);
-  kv "accepts_since_full" (string_of_int state.accepts_since_full);
-  kv "guard_rejects" (string_of_int state.guard_rejects);
-  kv "recovered_exns" (string_of_int state.recovered_exns);
-  kv "quarantined"
-    (String.concat " " (List.map string_of_int state.quarantined));
-  kv "events" (string_of_int (List.length state.events));
-  List.iter
-    (fun (e : event) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d %d %s %d %d\n" e.iteration e.target
-           (emit_float e.est_error) e.ands_after e.rounds))
-    state.events;
-  kv "graph"
-    (Printf.sprintf "%d %d" (String.length graph_text) (checksum graph_text));
-  Buffer.add_string buf graph_text;
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
+  let int = string_of_int in
+  Record.encode ~header:checkpoint_header ~blob:graph_text
+    ([
+       ("rng", Int64.to_string (Logic.Rng.state state.rng));
+       ("rounds", int state.rounds);
+       ("patience", int state.patience);
+       ("shrinks_at_floor", int state.shrinks_at_floor);
+       ("applied", int state.applied);
+       ("iteration", int state.iteration);
+       ("accepts_since_full", int state.accepts_since_full);
+       ("guard_rejects", int state.guard_rejects);
+       ("recovered_exns", int state.recovered_exns);
+       ("quarantined", String.concat " " (List.map int state.quarantined));
+     ]
+    @ List.map (fun e -> ("event", event_to_string e)) state.events)
 
 let parse_checkpoint text =
-  let len = String.length text in
-  let pos = ref 0 in
-  let next_line () =
-    if !pos >= len then failwith "journal: truncated checkpoint";
-    match String.index_from_opt text !pos '\n' with
-    | None -> failwith "journal: truncated checkpoint"
-    | Some i ->
-        let s = String.sub text !pos (i - !pos) in
-        pos := i + 1;
-        s
+  let r = Record.decode ~what:"journal checkpoint" ~header:checkpoint_header text in
+  let int = Record.int r in
+  let graph =
+    match Record.blob r with
+    | Some g -> Circuit_io.Aiger.parse g
+    | None -> Record.fail r "no graph"
   in
-  let field key =
-    let line = next_line () in
-    match String.index_opt line ' ' with
-    | Some sp when String.sub line 0 sp = key ->
-        String.sub line (sp + 1) (String.length line - sp - 1)
-    | _ -> failwith (Printf.sprintf "journal: expected %S field, got %S" key line)
-  in
-  check_header ~what:"journal checkpoint" ~current:checkpoint_header (next_line ());
-  let rng =
-    let s = field "rng" in
-    match Int64.of_string_opt s with
-    | Some v -> Logic.Rng.of_state v
-    | None -> failwith (Printf.sprintf "journal: bad rng state %S" s)
-  in
-  let rounds = parse_int_exn "rounds" (field "rounds") in
-  let patience = parse_int_exn "patience" (field "patience") in
-  let shrinks_at_floor = parse_int_exn "shrinks_at_floor" (field "shrinks_at_floor") in
-  let applied = parse_int_exn "applied" (field "applied") in
-  let iteration = parse_int_exn "iteration" (field "iteration") in
-  let accepts_since_full =
-    parse_int_exn "accepts_since_full" (field "accepts_since_full")
-  in
-  let guard_rejects = parse_int_exn "guard_rejects" (field "guard_rejects") in
-  let recovered_exns = parse_int_exn "recovered_exns" (field "recovered_exns") in
-  let quarantined =
-    field "quarantined" |> String.split_on_char ' '
-    |> List.filter (fun s -> s <> "")
-    |> List.map (parse_int_exn "quarantined")
-  in
-  let nevents = parse_int_exn "events" (field "events") in
-  if nevents < 0 then failwith "journal: negative event count";
-  (* Each event is one line: bound the claimed count by the bytes left. *)
-  if nevents > len - !pos then failwith "journal: event count exceeds file size";
-  let events =
-    List.init nevents (fun _ ->
-        let line = next_line () in
-        match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-        | [ it; tg; err; ands; rds ] ->
-            {
-              iteration = parse_int_exn "event iteration" it;
-              target = parse_int_exn "event target" tg;
-              est_error = parse_float_exn "event est_error" err;
-              ands_after = parse_int_exn "event ands_after" ands;
-              rounds = parse_int_exn "event rounds" rds;
-            }
-        | _ -> failwith (Printf.sprintf "journal: bad event line %S" line))
-  in
-  let nbytes, sum =
-    match String.split_on_char ' ' (field "graph") with
-    | [ n; s ] -> (parse_int_exn "graph size" n, parse_int_exn "graph checksum" s)
-    | _ -> failwith "journal: bad graph field"
-  in
-  if nbytes < 0 || !pos + nbytes > len then failwith "journal: truncated graph section";
-  let graph_text = String.sub text !pos nbytes in
-  pos := !pos + nbytes;
-  if checksum graph_text <> sum then failwith "journal: graph checksum mismatch";
-  if next_line () <> "end" then failwith "journal: missing end marker";
-  let graph = Circuit_io.Aiger.parse graph_text in
   ( {
-      rng;
-      rounds;
-      patience;
-      shrinks_at_floor;
-      applied;
-      iteration;
-      accepts_since_full;
-      guard_rejects;
-      recovered_exns;
-      quarantined;
-      events;
+      rng = Logic.Rng.of_state (Record.get_as r "rng" Int64.of_string_opt);
+      rounds = int "rounds";
+      patience = int "patience";
+      shrinks_at_floor = int "shrinks_at_floor";
+      applied = int "applied";
+      iteration = int "iteration";
+      accepts_since_full = int "accepts_since_full";
+      guard_rejects = int "guard_rejects";
+      recovered_exns = int "recovered_exns";
+      quarantined =
+        Record.get_as r "quarantined" (function
+          | "" -> Some []
+          | s -> parse_list ' ' int_of_string_opt s);
+      events =
+        List.map
+          (fun s ->
+            match event_of_string s with
+            | Some e -> e
+            | None -> Record.fail r (Printf.sprintf "bad event %S" s))
+          (Record.find_all r "event");
     },
     graph )
 
@@ -345,8 +217,7 @@ let create ~dir ~(config : Config.t) ~original =
   List.iter
     (fun f -> if Sys.file_exists f then Sys.remove f)
     [ checkpoint_file dir; checkpoint_prev_file dir ];
-  Circuit_io.Atomic_file.write (manifest_file dir)
-    (manifest_header ^ "\n" ^ config_to_string config ^ "end\n");
+  Circuit_io.Atomic_file.write (manifest_file dir) (config_to_string config);
   Circuit_io.Aiger.write_graph (original_file dir) original;
   { dir }
 
@@ -365,32 +236,9 @@ let record t state graph =
   Circuit_io.Atomic_file.write cp contents
 
 let load_manifest dir =
-  let path = manifest_file dir in
-  let text =
-    try Circuit_io.Atomic_file.read path
-    with Sys_error msg -> failwith (Printf.sprintf "journal: cannot read manifest: %s" msg)
-  in
-  match String.index_opt text '\n' with
-  | Some i ->
-      check_header ~what:"journal manifest" ~current:manifest_header (String.sub text 0 i);
-      let body = String.sub text (i + 1) (String.length text - i - 1) in
-      let body =
-        (* The trailing "end" marker detects truncation. *)
-        match String.split_on_char '\n' body |> List.rev with
-        | "" :: "end" :: rev_rest | "end" :: rev_rest ->
-            String.concat "\n" (List.rev rev_rest)
-        | _ -> failwith "journal: truncated manifest"
-      in
-      config_of_string body
-  | None -> failwith "journal manifest: bad header"
-
-(* A checkpoint of an older format version is not corruption to fall back
-   from: the whole run directory predates this build, so [load] refuses it
-   instead of silently restarting. *)
-let reject_outdated_checkpoint text =
-  let first = match String.index_opt text '\n' with Some i -> String.sub text 0 i | None -> text in
-  if outdated_header ~current:checkpoint_header first then
-    check_header ~what:"journal checkpoint" ~current:checkpoint_header first
+  match Circuit_io.Atomic_file.read (manifest_file dir) with
+  | text -> config_of_string text
+  | exception Sys_error msg -> failwith ("journal: cannot read manifest: " ^ msg)
 
 let load dir =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
@@ -410,10 +258,14 @@ let load dir =
       match Circuit_io.Atomic_file.read path with
       | exception Sys_error msg -> Some (Error msg)
       | text -> (
-          reject_outdated_checkpoint text;
           match parse_checkpoint text with
           | state, graph -> Some (Ok (state, graph))
-          | exception Failure msg -> Some (Error msg))
+          (* An older format version is not corruption to fall back from:
+             the whole run directory predates this build, so it is refused
+             instead of silently restarting. *)
+          | exception Failure msg
+            when not (Record.outdated ~header:checkpoint_header text) ->
+              Some (Error msg))
   in
   let primary = try_checkpoint (checkpoint_file dir) in
   let fallback = try_checkpoint (checkpoint_prev_file dir) in

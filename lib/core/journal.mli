@@ -11,13 +11,13 @@
     After every accepted LAC the flow calls {!record}, which rotates
     [checkpoint] to [checkpoint.prev] and atomically writes a new snapshot:
     the complete loop state (RNG stream position, dynamic simulation round
-    [N], patience counters, accepted-event list, quarantine set) followed by
-    the current graph as checksummed AIGER text and an [end] marker.  Because
-    every write is write-to-temp + rename and the graph section carries a
-    byte count and checksum, {!load} can always distinguish a complete
-    snapshot from a torn one, and falls back — newest checkpoint, previous
-    checkpoint, fresh start from [original.aag] — rather than resuming from
-    corrupt state.
+    [N], patience counters, one [event] field per accepted LAC, quarantine
+    set) with the current graph as the record's AIGER blob.  Both files are
+    {!Circuit_io.Record}s.  Because every write is write-to-temp + rename
+    and the blob carries a byte count and checksum, {!load} can always
+    distinguish a complete snapshot from a torn one, and falls back —
+    newest checkpoint, previous checkpoint, fresh start from
+    [original.aag] — rather than resuming from corrupt state.
 
     Checkpoints capture the RNG state at the end of the accepting iteration,
     and the flow draws randomness only from that single stream, so a resumed
@@ -90,20 +90,13 @@ val load : string -> resume
     older format version: the message names the version and asks for a
     fresh run. *)
 
-(** {1 Config serialization} (exposed for tests) *)
+(** {1 Manifest serialization} (exposed for tests) *)
 
 val config_to_string : Config.t -> string
-(** One [key value] line per field.  The {!Config.t.fault} plan is not
-    persisted: injected faults belong to a process, not to the run. *)
+(** The manifest: a {!Circuit_io.Record} with one field per {!Config.t}
+    field.  The {!Config.t.fault} plan is not persisted: injected faults
+    belong to a process, not to the run. *)
 
 val config_of_string : string -> Config.t
-(** Inverse of {!config_to_string}; unknown keys raise [Failure]. *)
-
-(** {1 Format versions} *)
-
-val check_header : what:string -> current:string -> string -> unit
-(** [check_header ~what ~current line] accepts a file whose first line is
-    [current] (["<format> <version>"]).  The same format at an older version
-    raises [Failure] naming that version and asking for a fresh run — old
-    files are refused, never converted; any other line raises a bad-header
-    [Failure].  [what] prefixes the message. *)
+(** Inverse of {!config_to_string}; a missing or malformed field, or an
+    older format version, raises [Failure]. *)

@@ -13,6 +13,9 @@ type t = {
    functions only for the most promising few. *)
 let derivations_per_node = 8
 
+(* Cap on the TFI nodes scanned for divisors per target node. *)
+let max_tfi_divisors = 5000
+
 (* Candidates of one target node, in the order the sequential flow has
    always produced them.  Pure in everything shared: the graph, signatures
    and fanout counts are only read, all scratch state is local —
@@ -22,7 +25,7 @@ let candidates_for ?pool g ~(config : Config.t) ~sigs ~rounds ~fanouts v =
   let mffc_size = List.length mffc in
   let in_mffc = Hashtbl.create 16 in
   List.iter (fun n -> Hashtbl.replace in_mffc n ()) mffc;
-  let sets = Array.of_list (Divisor.select g ~max_tfi:config.max_tfi_divisors v) in
+  let sets = Array.of_list (Divisor.select g ~max_tfi:max_tfi_divisors v) in
   let feasible =
     Feasibility.filter ?pool ~sigs ~node:v ~sets ~rounds ()
     |> List.map (fun (divisors, care) ->

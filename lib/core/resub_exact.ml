@@ -1,34 +1,29 @@
 module Graph = Aig.Graph
 module Bitvec = Logic.Bitvec
 
-type config = {
-  rounds : int;
-  check_rounds : int;
-  seed : int;
-  max_divisors : int;
-  pair_divisors : int;
-  triple_divisors : int;
-  derivations_per_target : int;
-  max_passes : int;
-  cec_rounds : int;
-  cec_effort : Verify.Cec.effort;
-  undecided_patience : int;
-}
+type config = { seed : int; rounds : int; cec_rounds : int; max_passes : int }
 
-let default =
-  {
-    rounds = 1024;
-    check_rounds = 2048;
-    seed = 1;
-    max_divisors = 48;
-    pair_divisors = 20;
-    triple_divisors = 10;
-    derivations_per_target = 4;
-    max_passes = 4;
-    cec_rounds = 256;
-    cec_effort = Verify.Cec.Fast;
-    undecided_patience = 4;
-  }
+let default = { seed = 1; rounds = 1024; cec_rounds = 256; max_passes = 4 }
+
+(* Independent re-simulation rounds gating each commit before CEC on
+   non-exhaustive sweeps. *)
+let check_rounds = 2048
+
+(* Divisor collection cap per target, and the nearest divisors considered
+   for 2-resub and 3-resub. *)
+let max_divisors = 48
+let pair_divisors = 20
+let triple_divisors = 10
+
+(* ISOP derivations per target. *)
+let derivations_per_target = 4
+
+(* Effort of each certification call. *)
+let cec_effort = Verify.Cec.Fast
+
+(* Consecutive [Undecided] verdicts after which a sweep stops attempting
+   commits (see [gave_up] in [sweep]). *)
+let undecided_patience = 4
 
 type stats = {
   passes : int;
@@ -82,19 +77,19 @@ type cand = {
    list restricted to its cheap prefixes.  k = 1 scans every collected
    divisor; pairs and triples only the nearest few — the quadratic and
    cubic neighborhoods are where care-scan time goes. *)
-let candidate_sets (cfg : config) divs =
+let candidate_sets divs =
   let n = Array.length divs in
   let sets = ref [] in
   for i = n - 1 downto 0 do
     sets := [| divs.(i) |] :: !sets
   done;
-  let np = min n cfg.pair_divisors in
+  let np = min n pair_divisors in
   for i = np - 1 downto 0 do
     for j = np - 1 downto i + 1 do
       sets := [| divs.(i); divs.(j) |] :: !sets
     done
   done;
-  let nt = min n cfg.triple_divisors in
+  let nt = min n triple_divisors in
   for i = nt - 1 downto 0 do
     for j = nt - 1 downto i + 1 do
       for k = nt - 1 downto j + 1 do
@@ -127,7 +122,7 @@ let sweep ?pool (cfg : config) ~rng g =
      exact, so every feasible candidate is a true resubstitution and the
      CEC check can only confirm. *)
   let exhaustive =
-    npis <= Sim.Patterns.exhaustive_limit && 1 lsl npis <= max cfg.rounds 1024
+    Sim.Patterns.exhaustive_fits ~npis ~rounds:(max cfg.rounds 1024)
   in
   let pats =
     if exhaustive then Sim.Patterns.exhaustive ~npis
@@ -144,9 +139,9 @@ let sweep ?pool (cfg : config) ~rng g =
      the pattern budget drown the sweep in portfolio calls that can only
      end Refuted or Undecided. *)
   let check =
-    if exhaustive || cfg.check_rounds <= 0 then None
+    if exhaustive then None
     else begin
-      let cpats = Sim.Patterns.random rng ~npis ~len:cfg.check_rounds in
+      let cpats = Sim.Patterns.random rng ~npis ~len:check_rounds in
       let cgolden = Sim.Engine.po_values g (Sim.Engine.simulate ?pool g cpats) in
       Some (cpats, cgolden)
     end
@@ -199,7 +194,7 @@ let sweep ?pool (cfg : config) ~rng g =
      function of the graph and the seed), so giving up on it preserves the
      byte-identity contract; a later pass starts with fresh patience. *)
   let undecided_streak = ref 0 in
-  let gave_up () = !undecided_streak >= max cfg.undecided_patience 1 in
+  let gave_up () = !undecided_streak >= undecided_patience in
   let try_commit v (c : cand) ~in_mffc =
     Hashtbl.replace replacements v (Graph.Replace_expr (c.expr, c.divisors));
     let rollback () = Hashtbl.remove replacements v in
@@ -231,7 +226,7 @@ let sweep ?pool (cfg : config) ~rng g =
              cost is the new replacement. *)
           match
             Verify.Cec.run ~seed:(cfg.seed + 0xE5B) ~rounds:cfg.cec_rounds
-              ~effort:cfg.cec_effort g g'
+              ~effort:cec_effort g g'
           with
           | Verify.Cec.Equivalent ->
               undecided_streak := 0;
@@ -282,7 +277,7 @@ let sweep ?pool (cfg : config) ~rng g =
           if const_cand <> None then None
           else begin
             let tfo = Aig.Cone.tfo_mask g v in
-            let divs = Divisor.collect g ~sigs ~tfo ~max:cfg.max_divisors v in
+            let divs = Divisor.collect g ~sigs ~tfo ~max:max_divisors v in
             if Array.length divs = 0 then None
             else begin
               (* Feasible sets with their savings bound; derivation
@@ -303,7 +298,7 @@ let sweep ?pool (cfg : config) ~rng g =
                     if Feasibility.ok care then
                       feasible := (savings, set, care) :: !feasible
                   end)
-                (candidate_sets cfg divs);
+                (candidate_sets divs);
               let feasible = List.rev !feasible in
               st := { !st with feasible = !st.feasible + List.length feasible };
               let ranked =
@@ -321,7 +316,7 @@ let sweep ?pool (cfg : config) ~rng g =
               let tried = ref 0 in
               List.iter
                 (fun (savings, set, care) ->
-                  if !tried < cfg.derivations_per_target then begin
+                  if !tried < derivations_per_target then begin
                     incr tried;
                     st := { !st with derived = !st.derived + 1 };
                     let cover = Resub.derive care in

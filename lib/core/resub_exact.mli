@@ -24,27 +24,22 @@
     byte-identical at any pool size. *)
 
 type config = {
-  rounds : int;  (** simulation rounds per sweep (exhaustive if it fits) *)
-  check_rounds : int;
-      (** independent re-simulation rounds gating each commit before CEC on
-          non-exhaustive sweeps; [0] disables the filter *)
   seed : int;  (** fixes the pattern stream and the CEC seed *)
-  max_divisors : int;  (** divisor collection cap per target *)
-  pair_divisors : int;  (** nearest divisors considered for 2-resub *)
-  triple_divisors : int;  (** nearest divisors considered for 3-resub *)
-  derivations_per_target : int;  (** ISOP derivations per target *)
-  max_passes : int;  (** sweep cap; passes stop early at a fixpoint *)
+  rounds : int;  (** simulation rounds per sweep (exhaustive if it fits) *)
   cec_rounds : int;  (** refutation rounds of each certification call *)
-  cec_effort : Verify.Cec.effort;
-  undecided_patience : int;
-      (** consecutive [Undecided] verdicts after which the sweep stops
-          attempting commits — on graphs whose delta miters the portfolio
-          cannot close (deep dividers, square roots) every attempt is a
-          seconds-long guaranteed rollback.  Deterministic: the streak is a
-          function of the graph and the seed.  Minimum 1. *)
+  max_passes : int;  (** sweep cap; passes stop early at a fixpoint *)
 }
+(** The engine's fixed limits are constants: 2048 independent re-simulation
+    rounds gate each commit of a non-exhaustive sweep before CEC; at most 48
+    divisors are collected per target, the nearest 20 of them paired and
+    the nearest 10 tripled; 4 ISOP derivations per target; [Fast] CEC
+    effort; and a sweep stops attempting commits after 4 consecutive
+    [Undecided] verdicts, since on graphs whose delta miters the portfolio
+    cannot close (deep dividers, square roots) every attempt is a
+    seconds-long guaranteed rollback. *)
 
 val default : config
+(** Seed 1, 1024 rounds, 256 CEC rounds, 4 passes. *)
 
 type stats = {
   passes : int;  (** sweeps run *)

@@ -520,7 +520,7 @@ let compare_graphs ?weights kind ~original ~approx patterns =
 let evaluate ?(seed = 20260705) ?(sample = 1 lsl 17) kind ~original ~approx =
   let npis = Aig.Graph.num_pis original in
   let patterns =
-    if npis <= Sim.Patterns.exhaustive_limit && 1 lsl npis <= sample then
+    if Sim.Patterns.exhaustive_fits ~npis ~rounds:sample then
       Sim.Patterns.exhaustive ~npis
     else Sim.Patterns.random (Logic.Rng.create seed) ~npis ~len:sample
   in

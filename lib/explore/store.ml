@@ -28,86 +28,35 @@ type result = {
   runtime_s : float;
 }
 
-let format_line = "alsrac-explore 2"
+module Record = Circuit_io.Record
 
-(* ---------- kv plumbing (same shape as the flow journal) ---------- *)
-
-let kv_to_string kvs =
-  let buf = Buffer.create 256 in
-  List.iter (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "%s %s\n" k v)) kvs;
-  Buffer.add_string buf "end\n";
-  Buffer.contents buf
-
-let kv_of_string ~what text =
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-  in
-  match List.rev lines with
-  | "end" :: rev_body ->
-      List.rev_map
-        (fun line ->
-          match String.index_opt line ' ' with
-          | Some i ->
-              ( String.sub line 0 i,
-                String.sub line (i + 1) (String.length line - i - 1) )
-          | None -> failwith (Printf.sprintf "%s: bad line %S" what line))
-        rev_body
-  | _ -> failwith (Printf.sprintf "%s: missing end marker" what)
-
-let field ~what kvs k =
-  match List.assoc_opt k kvs with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "%s: missing field %s" what k)
-
-let int_field ~what kvs k =
-  match int_of_string_opt (field ~what kvs k) with
-  | Some i -> i
-  | None -> failwith (Printf.sprintf "%s: bad int field %s" what k)
-
-let float_field ~what kvs k =
-  match float_of_string_opt (field ~what kvs k) with
-  | Some f -> f
-  | None -> failwith (Printf.sprintf "%s: bad float field %s" what k)
+let manifest_header = "alsrac-explore 3"
+let point_header = "alsrac-explore-point 3"
 
 (* ---------- manifest ---------- *)
 
 let manifest_to_string m =
-  format_line ^ "\n"
-  ^ kv_to_string
-      [
-        ("benchmarks", String.concat "," m.benchmarks);
-        ("ladder", Ladder.to_spec m.ladders);
-        ("seed", string_of_int m.seed);
-        ("eval_rounds", string_of_int m.eval_rounds);
-        ("max_iters", string_of_int m.max_iters);
-        ("distr", Errest.Distr.to_string m.distr);
-      ]
+  Record.encode ~header:manifest_header
+    [
+      ("benchmarks", String.concat "," m.benchmarks);
+      ("ladder", Ladder.to_spec m.ladders);
+      ("seed", string_of_int m.seed);
+      ("eval_rounds", string_of_int m.eval_rounds);
+      ("max_iters", string_of_int m.max_iters);
+      ("distr", Errest.Distr.to_string m.distr);
+    ]
 
 let manifest_of_string text =
-  let what = "explore manifest" in
-  match String.index_opt text '\n' with
-  | Some i ->
-      Core.Journal.check_header ~what ~current:format_line (String.sub text 0 i);
-      let kvs =
-        kv_of_string ~what (String.sub text (i + 1) (String.length text - i - 1))
-      in
-      let ladders =
-        match Ladder.parse (field ~what kvs "ladder") with
-        | Ok ls -> ls
-        | Error e -> failwith (Printf.sprintf "%s: %s" what e)
-      in
-      {
-        benchmarks = String.split_on_char ',' (field ~what kvs "benchmarks");
-        ladders;
-        seed = int_field ~what kvs "seed";
-        eval_rounds = int_field ~what kvs "eval_rounds";
-        max_iters = int_field ~what kvs "max_iters";
-        distr =
-          (match Errest.Distr.of_string (field ~what kvs "distr") with
-          | Ok d -> d
-          | Error e -> failwith (Printf.sprintf "%s: bad distr: %s" what e));
-      }
-  | None -> failwith (Printf.sprintf "%s: not an %s file" what format_line)
+  let r = Record.decode ~what:"explore manifest" ~header:manifest_header text in
+  let ok = function Ok v -> v | Error e -> Record.fail r e in
+  {
+    benchmarks = String.split_on_char ',' (Record.get r "benchmarks");
+    ladders = ok (Ladder.parse (Record.get r "ladder"));
+    seed = Record.int r "seed";
+    eval_rounds = Record.int r "eval_rounds";
+    max_iters = Record.int r "max_iters";
+    distr = ok (Errest.Distr.of_string (Record.get r "distr"));
+  }
 
 let manifest_path dir = Filename.concat dir "manifest"
 let points_dir dir = Filename.concat dir "points"
@@ -152,56 +101,51 @@ let point_path dir index =
   Filename.concat (points_dir dir) (Printf.sprintf "point-%06d" index)
 
 let result_to_string r =
-  kv_to_string
+  let int = string_of_int and float = Record.float_to_string in
+  Record.encode ~header:point_header
     [
-      ("point", string_of_int r.index);
+      ("point", int r.index);
       ("bench", r.bench);
       ("metric", Errest.Metrics.kind_to_string r.metric);
-      ("budget", Printf.sprintf "%h" r.budget);
-      ("est_error", Printf.sprintf "%h" r.est_error);
-      ("orig_ands", string_of_int r.orig_ands);
-      ("ands", string_of_int r.ands);
-      ("orig_luts", string_of_int r.orig_luts);
-      ("luts", string_of_int r.luts);
-      ("orig_lut_depth", string_of_int r.orig_lut_depth);
-      ("lut_depth", string_of_int r.lut_depth);
-      ("orig_area", Printf.sprintf "%h" r.orig_area);
-      ("area", Printf.sprintf "%h" r.area);
-      ("orig_delay", Printf.sprintf "%h" r.orig_delay);
-      ("delay", Printf.sprintf "%h" r.delay);
-      ("applied", string_of_int r.applied);
-      ("scored", string_of_int r.scored);
-      ("runtime_s", Printf.sprintf "%h" r.runtime_s);
+      ("budget", float r.budget);
+      ("est_error", float r.est_error);
+      ("orig_ands", int r.orig_ands);
+      ("ands", int r.ands);
+      ("orig_luts", int r.orig_luts);
+      ("luts", int r.luts);
+      ("orig_lut_depth", int r.orig_lut_depth);
+      ("lut_depth", int r.lut_depth);
+      ("orig_area", float r.orig_area);
+      ("area", float r.area);
+      ("orig_delay", float r.orig_delay);
+      ("delay", float r.delay);
+      ("applied", int r.applied);
+      ("scored", int r.scored);
+      ("runtime_s", float r.runtime_s);
     ]
 
 let result_of_string text =
-  let what = "explore point" in
-  let kvs = kv_of_string ~what text in
-  let metric =
-    let m = field ~what kvs "metric" in
-    match Errest.Metrics.kind_of_string m with
-    | Some k -> k
-    | None -> failwith (Printf.sprintf "%s: unknown metric %S" what m)
-  in
+  let r = Record.decode ~what:"explore point" ~header:point_header text in
+  let int = Record.int r and float = Record.float r in
   {
-    index = int_field ~what kvs "point";
-    bench = field ~what kvs "bench";
-    metric;
-    budget = float_field ~what kvs "budget";
-    est_error = float_field ~what kvs "est_error";
-    orig_ands = int_field ~what kvs "orig_ands";
-    ands = int_field ~what kvs "ands";
-    orig_luts = int_field ~what kvs "orig_luts";
-    luts = int_field ~what kvs "luts";
-    orig_lut_depth = int_field ~what kvs "orig_lut_depth";
-    lut_depth = int_field ~what kvs "lut_depth";
-    orig_area = float_field ~what kvs "orig_area";
-    area = float_field ~what kvs "area";
-    orig_delay = float_field ~what kvs "orig_delay";
-    delay = float_field ~what kvs "delay";
-    applied = int_field ~what kvs "applied";
-    scored = int_field ~what kvs "scored";
-    runtime_s = float_field ~what kvs "runtime_s";
+    index = int "point";
+    bench = Record.get r "bench";
+    metric = Record.get_as r "metric" Errest.Metrics.kind_of_string;
+    budget = float "budget";
+    est_error = float "est_error";
+    orig_ands = int "orig_ands";
+    ands = int "ands";
+    orig_luts = int "orig_luts";
+    luts = int "luts";
+    orig_lut_depth = int "orig_lut_depth";
+    lut_depth = int "lut_depth";
+    orig_area = float "orig_area";
+    area = float "area";
+    orig_delay = float "orig_delay";
+    delay = float "delay";
+    applied = int "applied";
+    scored = int "scored";
+    runtime_s = float "runtime_s";
   }
 
 let record_point ~dir r =

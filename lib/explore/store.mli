@@ -18,7 +18,10 @@
       {!Front.t} is canonical), so once all points exist the front files
       are byte-identical no matter how execution was sharded, paralleled,
       killed, or resumed.  Per-point [runtime_s] is recorded for
-      reporting but deliberately kept out of every front file. *)
+      reporting but deliberately kept out of every front file.
+
+    The manifest and point files are {!Circuit_io.Record}s; one of an
+    older format version is refused, not converted. *)
 
 type manifest = {
   benchmarks : string list;  (** suite names, in sweep order *)

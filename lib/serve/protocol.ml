@@ -68,231 +68,127 @@ let valid_session_name s =
          | _ -> false)
        s
 
-(* Hex-float serialization so decode(encode f) = f bit-for-bit, matching the
-   journal's convention. *)
-let float_to_string f =
-  if f = infinity then "inf"
-  else if f = neg_infinity then "-inf"
-  else Printf.sprintf "%h" f
+module Record = Circuit_io.Record
 
-let float_of_string_exn key s =
-  match float_of_string_opt s with
-  | Some f -> f
-  | None -> failwith (Printf.sprintf "protocol: bad float for %s: %S" key s)
-
-let int_of_string_exn key s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> failwith (Printf.sprintf "protocol: bad int for %s: %S" key s)
+let request_header = "alsrac-req 1"
+let response_header = "alsrac-resp 1"
 
 (* ---------- Encoding ---------- *)
 
-let add_kv b k v =
-  Buffer.add_string b k;
-  Buffer.add_char b ' ';
-  Buffer.add_string b v;
-  Buffer.add_char b '\n'
-
-let add_graph b bytes =
-  Buffer.add_string b
-    (Printf.sprintf "graph %d %d\n" (String.length bytes)
-       (Transport.checksum bytes));
-  Buffer.add_string b bytes;
-  Buffer.add_char b '\n'
-
 let encode_request req =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "alsrac-req 1\n";
-  (match req with
-  | Ping -> add_kv b "verb" "ping"
-  | Load { session; circuit; graph; priority } ->
-      add_kv b "verb" "load";
-      add_kv b "session" session;
-      add_kv b "circuit" circuit;
-      add_kv b "priority" (string_of_int priority);
-      Option.iter (add_graph b) graph
-  | Approx { session; params; deadline_s } ->
-      add_kv b "verb" "approx";
-      add_kv b "session" session;
-      add_kv b "metric" (Errest.Metrics.kind_to_string params.metric);
-      add_kv b "threshold" (float_to_string params.threshold);
-      add_kv b "seed" (string_of_int params.seed);
-      add_kv b "eval-rounds" (string_of_int params.eval_rounds);
-      add_kv b "max-iters" (string_of_int params.max_iters);
-      Option.iter (fun d -> add_kv b "deadline" (float_to_string d)) deadline_s
-  | Metrics { session; metric } ->
-      add_kv b "verb" "metrics";
-      add_kv b "session" session;
-      add_kv b "metric" (Errest.Metrics.kind_to_string metric)
-  | Cec { session } ->
-      add_kv b "verb" "cec";
-      add_kv b "session" session
-  | Get { session } ->
-      add_kv b "verb" "get";
-      add_kv b "session" session
-  | Status -> add_kv b "verb" "status"
-  | Evict { session } ->
-      add_kv b "verb" "evict";
-      add_kv b "session" session
-  | Shutdown -> add_kv b "verb" "shutdown");
-  Buffer.add_string b "end\n";
-  Buffer.contents b
+  let kind = Errest.Metrics.kind_to_string and float = Record.float_to_string in
+  let fields, graph =
+    match req with
+    | Ping -> ([ ("verb", "ping") ], None)
+    | Load { session; circuit; graph; priority } ->
+        ( [
+            ("verb", "load");
+            ("session", session);
+            ("circuit", circuit);
+            ("priority", string_of_int priority);
+          ],
+          graph )
+    | Approx { session; params; deadline_s } ->
+        ( [
+            ("verb", "approx");
+            ("session", session);
+            ("metric", kind params.metric);
+            ("threshold", float params.threshold);
+            ("seed", string_of_int params.seed);
+            ("eval-rounds", string_of_int params.eval_rounds);
+            ("max-iters", string_of_int params.max_iters);
+          ]
+          @ Option.fold ~none:[] ~some:(fun d -> [ ("deadline", float d) ]) deadline_s,
+          None )
+    | Metrics { session; metric } ->
+        ([ ("verb", "metrics"); ("session", session); ("metric", kind metric) ], None)
+    | Cec { session } -> ([ ("verb", "cec"); ("session", session) ], None)
+    | Get { session } -> ([ ("verb", "get"); ("session", session) ], None)
+    | Status -> ([ ("verb", "status") ], None)
+    | Evict { session } -> ([ ("verb", "evict"); ("session", session) ], None)
+    | Shutdown -> ([ ("verb", "shutdown") ], None)
+  in
+  Record.encode ~header:request_header ?blob:graph fields
 
 let encode_response resp =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "alsrac-resp 1\n";
-  (match resp with
-  | Ok (kvs, graph) ->
-      add_kv b "status" "ok";
-      List.iter (fun (k, v) -> add_kv b k v) kvs;
-      Option.iter (add_graph b) graph
-  | Err { code; detail; retry_after_s } ->
-      add_kv b "status" "err";
-      add_kv b "code" (code_to_string code);
-      add_kv b "detail" (String.escaped detail);
-      Option.iter
-        (fun r -> add_kv b "retry-after" (float_to_string r))
-        retry_after_s);
-  Buffer.add_string b "end\n";
-  Buffer.contents b
+  let fields, graph =
+    match resp with
+    | Ok (kvs, graph) -> (("status", "ok") :: kvs, graph)
+    | Err { code; detail; retry_after_s } ->
+        ( [
+            ("status", "err");
+            ("code", code_to_string code);
+            ("detail", String.escaped detail);
+          ]
+          @ Option.fold ~none:[]
+              ~some:(fun r -> [ ("retry-after", Record.float_to_string r) ])
+              retry_after_s,
+          None )
+  in
+  Record.encode ~header:response_header ?blob:graph fields
 
 (* ---------- Decoding ---------- *)
 
-type cursor = { s : string; mutable pos : int }
-
-let next_line c =
-  if c.pos >= String.length c.s then failwith "protocol: truncated payload";
-  match String.index_from_opt c.s c.pos '\n' with
-  | None ->
-      let l = String.sub c.s c.pos (String.length c.s - c.pos) in
-      c.pos <- String.length c.s;
-      l
-  | Some i ->
-      let l = String.sub c.s c.pos (i - c.pos) in
-      c.pos <- i + 1;
-      l
-
-let read_blob c n ck =
-  if n < 0 || n > String.length c.s - c.pos then
-    failwith "protocol: graph length out of bounds";
-  let bytes = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  if c.pos < String.length c.s && c.s.[c.pos] = '\n' then c.pos <- c.pos + 1;
-  if Transport.checksum bytes <> ck then
-    failwith "protocol: graph checksum mismatch";
-  bytes
-
-(* Parse the body shared by requests and responses: kv lines plus at most
-   one graph section, terminated by "end". *)
-let parse_body c =
-  let kvs = ref [] and graph = ref None and fini = ref false in
-  while not !fini do
-    let line = next_line c in
-    if line = "end" then fini := true
-    else
-      match String.index_opt line ' ' with
-      | None -> failwith (Printf.sprintf "protocol: bad line %S" line)
-      | Some i -> (
-          let key = String.sub line 0 i in
-          let value = String.sub line (i + 1) (String.length line - i - 1) in
-          match key with
-          | "graph" -> (
-              if !graph <> None then failwith "protocol: duplicate graph";
-              match String.split_on_char ' ' value with
-              | [ n; ck ] ->
-                  graph :=
-                    Some
-                      (read_blob c
-                         (int_of_string_exn "graph-len" n)
-                         (int_of_string_exn "graph-ck" ck))
-              | _ -> failwith "protocol: bad graph header")
-          | _ -> kvs := (key, value) :: !kvs)
-  done;
-  (List.rev !kvs, !graph)
-
-let find kvs key =
-  match List.assoc_opt key kvs with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "protocol: missing key %s" key)
-
-let find_opt kvs key = List.assoc_opt key kvs
-
-let session_of kvs =
-  let s = find kvs "session" in
+let session_of r =
+  let s = Record.get r "session" in
   if not (valid_session_name s) then
-    failwith (Printf.sprintf "protocol: invalid session name %S" s);
+    Record.fail r (Printf.sprintf "invalid session name %S" s);
   s
 
-let metric_of kvs =
-  let m = find kvs "metric" in
-  match Errest.Metrics.kind_of_string m with
-  | Some k -> k
-  | None -> failwith (Printf.sprintf "protocol: unknown metric %S" m)
+let metric_of r = Record.get_as r "metric" Errest.Metrics.kind_of_string
+
+(* A NaN threshold would compare false against every candidate error and
+   let the flow delete the circuit; refuse it (and a negative one) here. *)
+let threshold_of r =
+  let t = Record.float r "threshold" in
+  if not (t >= 0.0) then Record.fail r "threshold must be a non-negative number";
+  t
 
 let decode_request payload =
-  let c = { s = payload; pos = 0 } in
-  (match next_line c with
-  | "alsrac-req 1" -> ()
-  | l -> failwith (Printf.sprintf "protocol: bad request header %S" l));
-  let kvs, graph = parse_body c in
-  match find kvs "verb" with
+  let r = Record.decode ~what:"protocol request" ~header:request_header payload in
+  match Record.get r "verb" with
   | "ping" -> Ping
   | "load" ->
       Load
         {
-          session = session_of kvs;
-          circuit = find kvs "circuit";
-          graph;
-          priority = int_of_string_exn "priority" (find kvs "priority");
+          session = session_of r;
+          circuit = Record.get r "circuit";
+          graph = Record.blob r;
+          priority = Record.int r "priority";
         }
   | "approx" ->
       Approx
         {
-          session = session_of kvs;
+          session = session_of r;
           params =
             {
-              metric = metric_of kvs;
-              threshold = float_of_string_exn "threshold" (find kvs "threshold");
-              seed = int_of_string_exn "seed" (find kvs "seed");
-              eval_rounds =
-                int_of_string_exn "eval-rounds" (find kvs "eval-rounds");
-              max_iters = int_of_string_exn "max-iters" (find kvs "max-iters");
+              metric = metric_of r;
+              threshold = threshold_of r;
+              seed = Record.int r "seed";
+              eval_rounds = Record.int r "eval-rounds";
+              max_iters = Record.int r "max-iters";
             };
-          deadline_s =
-            Option.map (float_of_string_exn "deadline")
-              (find_opt kvs "deadline");
+          deadline_s = Record.find_as r "deadline" Record.float_of_string;
         }
-  | "metrics" -> Metrics { session = session_of kvs; metric = metric_of kvs }
-  | "cec" -> Cec { session = session_of kvs }
-  | "get" -> Get { session = session_of kvs }
+  | "metrics" -> Metrics { session = session_of r; metric = metric_of r }
+  | "cec" -> Cec { session = session_of r }
+  | "get" -> Get { session = session_of r }
   | "status" -> Status
-  | "evict" -> Evict { session = session_of kvs }
+  | "evict" -> Evict { session = session_of r }
   | "shutdown" -> Shutdown
-  | v -> failwith (Printf.sprintf "protocol: unknown verb %S" v)
+  | v -> Record.fail r (Printf.sprintf "unknown verb %S" v)
 
 let decode_response payload =
-  let c = { s = payload; pos = 0 } in
-  (match next_line c with
-  | "alsrac-resp 1" -> ()
-  | l -> failwith (Printf.sprintf "protocol: bad response header %S" l));
-  let kvs, graph = parse_body c in
-  match find kvs "status" with
-  | "ok" ->
-      let kvs = List.filter (fun (k, _) -> k <> "status") kvs in
-      Ok (kvs, graph)
+  let r = Record.decode ~what:"protocol response" ~header:response_header payload in
+  match Record.get r "status" with
+  | "ok" -> Ok (List.filter (fun (k, _) -> k <> "status") (Record.fields r), Record.blob r)
   | "err" ->
-      let code =
-        match code_of_string (find kvs "code") with
-        | Some c -> c
-        | None -> failwith "protocol: unknown error code"
-      in
       Err
         {
-          code;
-          detail = Scanf.unescaped (find kvs "detail");
-          retry_after_s =
-            Option.map
-              (float_of_string_exn "retry-after")
-              (find_opt kvs "retry-after");
+          code = Record.get_as r "code" code_of_string;
+          detail =
+            Record.get_as r "detail" (fun d ->
+                try Some (Scanf.unescaped d) with Scanf.Scan_failure _ -> None);
+          retry_after_s = Record.find_as r "retry-after" Record.float_of_string;
         }
-  | s -> failwith (Printf.sprintf "protocol: bad status %S" s)
+  | s -> Record.fail r (Printf.sprintf "bad status %S" s)

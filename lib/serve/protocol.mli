@@ -1,23 +1,14 @@
-(** Request/response grammar of the [alsrac serve] protocol (version 1).
+(** Requests and responses of the [alsrac serve] protocol (version 1).
 
-    A payload (one transport frame) is line-oriented ASCII:
-
-    {v
-    request  ::= "alsrac-req 1" NL line* "end" NL?
-    response ::= "alsrac-resp 1" NL line* "end" NL?
-    line     ::= KEY " " VALUE NL
-               | "graph " NBYTES " " CHECKSUM NL RAWBYTES NL
-    v}
-
-    Keys are single tokens; a value is the rest of its line.  Floats are
-    serialized as hex literals ([%h], with [inf]/[-inf]), so decode/encode
-    round-trips bit-exactly — the same convention the journal uses.  A
-    [graph] section carries an AIGER-serialized circuit as raw bytes,
-    length-prefixed and guarded by the transport checksum.
+    A payload (one transport frame) is one {!Circuit_io.Record} with header
+    ["alsrac-req 1"] or ["alsrac-resp 1"]: a [verb] (requests) or [status]
+    (responses) field, the verb's fields, and a shipped or fetched circuit
+    as the record's AIGER blob.  Floats round-trip bit-exactly.
 
     Decoding hostile input never allocates unbounded memory and raises
-    [Failure] on any violation; the daemon maps that to a [Bad_request]
-    reply and counts a malformed strike against the connection. *)
+    [Failure] on any violation — including an [approx] threshold that is
+    NaN or negative; the daemon maps that to a [Bad_request] reply and
+    counts a malformed strike against the connection. *)
 
 type approx_params = {
   metric : Errest.Metrics.kind;

@@ -44,7 +44,7 @@ let rec rm_rf path =
    [Errest.Metrics.evaluate]. *)
 let make_eval_pats g =
   let npis = Aig.Graph.num_pis g in
-  if npis <= Sim.Patterns.exhaustive_limit && 1 lsl npis <= eval_rounds then
+  if Sim.Patterns.exhaustive_fits ~npis ~rounds:eval_rounds then
     Sim.Patterns.exhaustive ~npis
   else Sim.Patterns.random (Logic.Rng.create eval_seed) ~npis ~len:eval_rounds
 
@@ -54,19 +54,19 @@ let current_path dir = dir // "current.aag"
 let inflight_path dir = dir // "inflight"
 let journal_dir t = t.dir // "journal"
 
-let float_to_string f =
-  if f = infinity then "inf"
-  else if f = neg_infinity then "-inf"
-  else Printf.sprintf "%h" f
+module Record = Circuit_io.Record
+
+let manifest_header = "alsrac-session 2"
 
 let save_manifest t =
-  let b = Buffer.create 128 in
-  Printf.bprintf b "alsrac-session 1\n";
-  Printf.bprintf b "circuit %s\n" t.circuit;
-  Printf.bprintf b "priority %d\n" t.priority;
-  Printf.bprintf b "applied %d\n" t.applied_total;
-  Printf.bprintf b "budget %s\n" (float_to_string t.budget_s);
-  Circuit_io.Atomic_file.write (manifest_path t.dir) (Buffer.contents b)
+  Circuit_io.Atomic_file.write (manifest_path t.dir)
+    (Record.encode ~header:manifest_header
+       [
+         ("circuit", t.circuit);
+         ("priority", string_of_int t.priority);
+         ("applied", string_of_int t.applied_total);
+         ("budget", Record.float_to_string t.budget_s);
+       ])
 
 let warm ~name ~dir ~circuit ~original ~current ~priority ~budget_s
     ~applied_total =
@@ -105,30 +105,19 @@ let create ~state_dir ~name ~circuit ~graph ~priority =
   save_manifest t;
   t
 
-let parse_manifest path =
-  let contents = Circuit_io.Atomic_file.read path in
-  let circuit = ref "-" and priority = ref 0 in
-  let applied = ref 0 and budget = ref 0.0 in
-  let lines = String.split_on_char '\n' contents in
-  (match lines with
-  | "alsrac-session 1" :: _ -> ()
-  | _ -> failwith (Printf.sprintf "session: bad manifest %s" path));
-  List.iteri
-    (fun i line ->
-      if i > 0 && line <> "" then
-        match String.index_opt line ' ' with
-        | None -> failwith (Printf.sprintf "session: bad manifest line %S" line)
-        | Some j -> (
-            let key = String.sub line 0 j in
-            let v = String.sub line (j + 1) (String.length line - j - 1) in
-            match key with
-            | "circuit" -> circuit := v
-            | "priority" -> priority := int_of_string v
-            | "applied" -> applied := int_of_string v
-            | "budget" -> budget := float_of_string v
-            | _ -> failwith (Printf.sprintf "session: unknown manifest key %s" key)))
-    lines;
-  (!circuit, !priority, !applied, !budget)
+(* An unreadable manifest means the directory is not a session; a
+   malformed or outdated one fails with the decoder's message. *)
+let read_manifest dir =
+  let path = manifest_path dir in
+  let text =
+    try Circuit_io.Atomic_file.read path
+    with Sys_error _ -> failwith (Printf.sprintf "session: %s is not a usable session" dir)
+  in
+  let r = Record.decode ~what:("session manifest " ^ path) ~header:manifest_header text in
+  ( Record.get r "circuit",
+    Record.int r "priority",
+    Record.int r "applied",
+    Record.float r "budget" )
 
 let load_dir ~state_dir ~name =
   let dir = state_dir // name in
@@ -137,11 +126,7 @@ let load_dir ~state_dir ~name =
      sweep both levels before trusting the directory's contents. *)
   Circuit_io.Atomic_file.sweep_debris dir;
   Circuit_io.Atomic_file.sweep_debris (dir // "journal");
-  let circuit, priority, applied_total, budget_s =
-    try parse_manifest (manifest_path dir)
-    with Sys_error _ | Failure _ ->
-      failwith (Printf.sprintf "session: %s is not a usable session" dir)
-  in
+  let circuit, priority, applied_total, budget_s = read_manifest dir in
   let original =
     try Circuit_io.Aiger.read (original_path dir)
     with _ -> failwith (Printf.sprintf "session: %s: unreadable original" dir)

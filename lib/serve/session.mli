@@ -12,7 +12,7 @@
 
     {v
     <state-dir>/<name>/
-      manifest       key/value lines (atomic replace)
+      manifest       Circuit_io.Record "alsrac-session 2" (atomic replace)
       original.aag   loaded circuit, immutable
       current.aag    latest approximation (absent until one exists)
       inflight       encoded Approx request while queued/running
@@ -59,7 +59,8 @@ val create :
 
 val load_dir : state_dir:string -> name:string -> t
 (** Reload a persisted session; raises [Failure] if its directory is not a
-    usable session. *)
+    usable session, naming the version of a manifest written in an older
+    format. *)
 
 val scan : state_dir:string -> string list
 (** Names of the sessions persisted under [state_dir], sorted. *)

@@ -2,6 +2,7 @@ let random rng ~npis ~len =
   Array.init npis (fun _ -> Logic.Bitvec.random rng len)
 
 let exhaustive_limit = 24
+let exhaustive_fits ~npis ~rounds = npis <= exhaustive_limit && 1 lsl npis <= rounds
 
 let exhaustive ~npis =
   if npis > exhaustive_limit then invalid_arg "Patterns.exhaustive: too many PIs";

@@ -14,6 +14,11 @@ val exhaustive : npis:int -> Logic.Bitvec.t array
 val exhaustive_limit : int
 (** Largest PI count accepted by {!exhaustive} (24). *)
 
+val exhaustive_fits : npis:int -> rounds:int -> bool
+(** Whether {!exhaustive} accepts [npis] and its [2^npis] rounds fit in
+    [rounds]: the test every evaluation uses to enumerate the input space
+    instead of sampling [rounds] random patterns. *)
+
 val weighted : Logic.Rng.t -> probs:float array -> len:int -> Logic.Bitvec.t array
 (** Independent per-PI one-probabilities — the "user-specified distribution"
     hook of Section III-A. *)

@@ -151,6 +151,50 @@ let test_flow_zero_threshold_keeps_function () =
   check "equivalent" true (Util.equivalent g approx);
   check "report consistent" true (report.Core.Flow.output_ands = Graph.num_ands approx)
 
+(* A NaN budget compares false against every candidate error, so the flow
+   used to accept LACs until the circuit was gone. *)
+let test_flow_rejects_bad_threshold () =
+  List.iter
+    (fun threshold ->
+      let config = Core.Config.default ~metric:Errest.Metrics.Er ~threshold in
+      match Core.Flow.run ~config (redundant_circuit ()) with
+      | _ -> Alcotest.failf "Flow.run accepted threshold %h" threshold
+      | exception Invalid_argument msg ->
+          check "names the threshold" true (Util.contains msg "threshold"))
+    [ Float.nan; -0.01 ]
+
+let alsrac_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/alsrac.exe"
+
+(* Run the CLI with stdin/stdout on /dev/null; its exit code and stderr. *)
+let run_cli args =
+  let err_file = Filename.temp_file "alsrac_cli" ".err" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let err = Unix.openfile err_file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let pid =
+    Unix.create_process alsrac_exe (Array.of_list (alsrac_exe :: args)) null null err
+  in
+  Unix.close null;
+  Unix.close err;
+  let code = match Unix.waitpid [] pid with _, Unix.WEXITED c -> c | _ -> -1 in
+  let stderr = Circuit_io.Atomic_file.read err_file in
+  Sys.remove err_file;
+  (code, stderr)
+
+let test_cli_rejects_nan_threshold () =
+  let out = Filename.temp_file "alsrac_cli" ".aag" in
+  Sys.remove out;
+  List.iter
+    (fun (flag, what) ->
+      let code, stderr =
+        run_cli
+          [ "approx"; "ctrl"; "-m"; "er"; flag; "nan"; "--eval-rounds"; "256"; "-o"; out ]
+      in
+      check (flag ^ " nan exits non-zero") true (code <> 0);
+      check (flag ^ " nan is reported") true (Util.contains stderr what);
+      check (flag ^ " nan writes no circuit") false (Sys.file_exists out))
+    [ ("-t", "--threshold"); ("--max-error", "--max-error") ]
+
 let test_flow_reduces_area_under_er () =
   (* Random control logic (cavlc class) at ER 5%: 10 PIs, so the evaluation
      set is exhaustive and all flow errors are exact. *)
@@ -398,6 +442,9 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_flow_deterministic;
           Alcotest.test_case "rounds shrink" `Quick test_flow_rounds_shrink;
           Alcotest.test_case "depth guard" `Quick test_flow_depth_guard;
+          Alcotest.test_case "nan threshold rejected" `Quick test_flow_rejects_bad_threshold;
+          Alcotest.test_case "cli nan threshold rejected" `Quick
+            test_cli_rejects_nan_threshold;
         ] );
       ("golden", golden_tests);
     ]

@@ -234,18 +234,21 @@ let test_sweep_rejects () =
    with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an unknown benchmark");
-  (* A sweep directory from the previous manifest format (it still named a
-     candidate-selection policy) is refused, not converted. *)
-  let dir = fresh_dir () in
-  Sys.mkdir dir 0o755;
-  Circuit_io.Atomic_file.write (Filename.concat dir "manifest")
-    "alsrac-explore 1\nbenchmarks ctrl\nladder er=0x1.47ae147ae147bp-7\n\
-     policy greedy\nseed 1\neval_rounds 128\nmax_iters 3\ndistr unif\nend\n";
-  match Explore.Sweep.run (tiny_spec dir) with
-  | _ -> Alcotest.fail "accepted a version-1 explore manifest"
-  | exception Failure msg ->
-      check "names the old version" true (Util.contains msg "alsrac-explore 1");
-      check "asks for a re-run" true (Util.contains msg "re-run")
+  (* Sweep directories from previous manifest formats (version 1 still named
+     a candidate-selection policy) are refused, not converted. *)
+  List.iter
+    (fun (header, policy) ->
+      let dir = fresh_dir () in
+      Sys.mkdir dir 0o755;
+      Circuit_io.Atomic_file.write (Filename.concat dir "manifest")
+        (header ^ "\nbenchmarks ctrl\nladder er=0x1.47ae147ae147bp-7\n" ^ policy
+       ^ "seed 1\neval_rounds 128\nmax_iters 3\ndistr unif\nend\n");
+      match Explore.Sweep.run (tiny_spec dir) with
+      | _ -> Alcotest.fail ("accepted an " ^ header ^ " manifest")
+      | exception Failure msg ->
+          check "names the old version" true (Util.contains msg header);
+          check "asks for a re-run" true (Util.contains msg "re-run"))
+    [ ("alsrac-explore 1", "policy greedy\n"); ("alsrac-explore 2", "") ]
 
 (* ---------- Sweep: worst-case ladders and enumerated distributions ---------- *)
 

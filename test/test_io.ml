@@ -277,6 +277,134 @@ o1 c
     check "carry" (inputs.(0) && inputs.(1)) out.(1)
   done
 
+(* ---------- Record codec ---------- *)
+
+module Record = Circuit_io.Record
+
+let record_gen =
+  let open QCheck.Gen in
+  let key =
+    string_size ~gen:(oneofl [ 'a'; 'k'; 'z'; '0'; '_'; '-'; '.'; 'g' ]) (int_range 1 6)
+    >|= fun k -> if k = "graph" then "graph_" else k
+  in
+  (* Any byte but a newline, so values with spaces and "end" are common. *)
+  let value =
+    string_size ~gen:(map (fun c -> if c = '\n' then ' ' else c) char) (int_range 0 12)
+  in
+  let blob =
+    opt
+      (oneof
+         [
+           string_size (int_range 0 64);
+           map (fun s -> s ^ "end\n") (string_size (int_range 0 8));
+           return "end\n";
+         ])
+  in
+  (* Few distinct keys: repeats are the rule. *)
+  triple (list_size (int_range 0 10) (pair key value)) blob (oneofl [ "x 1"; "rec 7" ])
+
+let prop_record_roundtrip =
+  QCheck.Test.make ~name:"record round-trip" ~count:500 (QCheck.make record_gen)
+    (fun (fields, blob, header) ->
+      let r = Record.decode ~what:"test" ~header (Record.encode ~header ?blob fields) in
+      Record.fields r = fields && Record.blob r = blob)
+
+let test_record_floats () =
+  let floats =
+    [ infinity; neg_infinity; -0.0; 0.0; 5e-324; 0x1.8p-1030; max_float; 0.1; -3.75 ]
+  in
+  let text =
+    Record.encode ~header:"f 1"
+      (List.mapi (fun i f -> (string_of_int i, Record.float_to_string f)) floats
+      @ [ ("nan", Record.float_to_string Float.nan) ])
+  in
+  let r = Record.decode ~what:"floats" ~header:"f 1" text in
+  List.iteri
+    (fun i f ->
+      check (Printf.sprintf "%h bit-exact" f) true
+        (Int64.equal (Int64.bits_of_float f)
+           (Int64.bits_of_float (Record.float r (string_of_int i)))))
+    floats;
+  check "nan survives" true (Float.is_nan (Record.float r "nan"));
+  check "inf spelled inf" true (Record.get r "0" = "inf" && Record.get r "1" = "-inf")
+
+(* Every malformed record fails with [Failure], never another exception. *)
+let test_record_hostile () =
+  let good = Record.encode ~header:"h 2" ~blob:"aag 0 0 0 0 0\nend\n" [ ("k", "v w") ] in
+  let blob_at = String.index good 'a' in
+  let flip s i =
+    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+  in
+  let cases =
+    [
+      ("truncated blob", String.sub good 0 (blob_at + 5));
+      ("length past the payload", "h 2\ngraph 999 0\nabc\nend\n");
+      ("negative length", "h 2\ngraph -1 0\n\nend\n");
+      ("checksum mismatch", flip good (blob_at + 2));
+      ("missing end", "h 2\nk v\n");
+      ("missing end after blob", String.sub good 0 (String.length good - 4));
+      ("line without a space", "h 2\nnospace\nend\n");
+      ("bytes after end", good ^ "k v\n");
+      ("bad header", "nonsense\nend\n");
+      ("empty", "");
+      ("outdated header", "h 1\nk v\nend\n");
+    ]
+  in
+  List.iter
+    (fun (name, text) ->
+      match Record.decode ~what:"hostile" ~header:"h 2" text with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception Failure msg ->
+          check (name ^ ": names the record") true (Util.contains msg "hostile")
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
+    cases;
+  (match Record.decode ~what:"old" ~header:"h 2" "h 1\nend\n" with
+  | _ -> Alcotest.fail "accepted an outdated header"
+  | exception Failure msg ->
+      check "names the old version" true (Util.contains msg "\"h 1\"");
+      check "asks for a re-run" true (Util.contains msg "re-run"));
+  let r = Record.decode ~what:"typed" ~header:"h 2" "h 2\nn x\nend" in
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | _ -> Alcotest.failf "%s: accepted" name
+      | exception Failure msg ->
+          check (name ^ ": names record and key") true
+            (Util.contains msg "typed" && Util.contains msg "n"))
+    [
+      ("bad int", fun () -> ignore (Record.int r "n"));
+      ("missing key", fun () -> ignore (Record.get r "missing"));
+    ]
+
+(* Protocol bytes must not change: payloads encoded before the shared
+   record codec existed decode and re-encode byte-identically. *)
+let test_record_protocol_pin () =
+  let requests =
+    [
+      "alsrac-req 1\nverb approx\nsession s1\nmetric nmed\nthreshold 0x1.930be0ded288dp-7\n\
+       seed 7\neval-rounds 2048\nmax-iters 50\ndeadline inf\nend\n";
+      "alsrac-req 1\nverb load\nsession s2\ncircuit -\npriority 3\ngraph 22 847044287\n\
+       aag 1 1 0 1 0\n2\n2\nend\n\nend\n";
+    ]
+  and responses =
+    [
+      "alsrac-resp 1\nstatus ok\nsession a\nsession b two\nands \ngraph 14 356273595\n\
+       aag 0 0 0 0 0\n\nend\n";
+      "alsrac-resp 1\nstatus err\ncode overloaded\ndetail queue\\tfull \\\"x\\\"\\n\n\
+       retry-after -0x0p+0\nend\n";
+    ]
+  in
+  List.iter
+    (fun bytes ->
+      check "request re-encodes byte-identically" true
+        (Serve.Protocol.encode_request (Serve.Protocol.decode_request bytes) = bytes))
+    requests;
+  List.iter
+    (fun bytes ->
+      check "response re-encodes byte-identically" true
+        (Serve.Protocol.encode_response (Serve.Protocol.decode_response bytes) = bytes))
+    responses
+
 let () =
   Alcotest.run "io"
     [
@@ -314,6 +442,13 @@ let () =
           Alcotest.test_case "atomic write" `Quick test_atomic_write_replaces;
         ]
         @ Util.qcheck_cases [ prop_aiger_truncation; prop_blif_truncation ] );
+      ( "record",
+        [
+          Alcotest.test_case "floats" `Quick test_record_floats;
+          Alcotest.test_case "hostile input" `Quick test_record_hostile;
+          Alcotest.test_case "protocol bytes pinned" `Quick test_record_protocol_pin;
+        ]
+        @ Util.qcheck_cases [ prop_record_roundtrip ] );
       ( "verilog-dot",
         [
           Alcotest.test_case "verilog" `Quick test_verilog_output;

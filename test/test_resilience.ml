@@ -31,8 +31,7 @@ let test_config_roundtrip () =
       scale = 0.85;
       max_seconds = infinity;
       input_probs = Some [| 0.25; 0.5; 0.75 |];
-      guard = false;
-      confidence = 0.99 }
+      guard = false }
   in
   let c' = Core.Journal.config_of_string (Core.Journal.config_to_string c) in
   check "config round-trips" true (c = c')
@@ -41,7 +40,16 @@ let test_config_rejects_garbage () =
   (match Core.Journal.config_of_string "definitely not a config" with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure _ -> ());
-  match Core.Journal.config_of_string "threshold banana" with
+  (* A well-formed manifest whose threshold is not a float. *)
+  let banana =
+    Core.Journal.config_to_string
+      (Core.Config.default ~metric:Errest.Metrics.Er ~threshold:0.5)
+    |> String.split_on_char '\n'
+    |> List.map (fun l ->
+           if String.starts_with ~prefix:"threshold " l then "threshold banana" else l)
+    |> String.concat "\n"
+  in
+  match Core.Journal.config_of_string banana with
   | _ -> Alcotest.fail "expected Failure"
   | exception Failure _ -> ()
 
@@ -80,9 +88,10 @@ let test_journal_record_load_roundtrip () =
   check_int "graph round-trips" (Graph.num_ands original)
     (Graph.num_ands r.Core.Journal.graph);
   check "config round-trips" true (r.Core.Journal.config = base_config);
-  (* Files of the previous format version are refused with one clear
-     message, never converted: version 1 still carried candidate-selection
-     policy state. *)
+  (* Files of a previous format version are refused with one clear message,
+     never converted: version 1 still carried candidate-selection policy
+     state, version 2 the since-removed config knobs and its own event
+     framing. *)
   let rewrite_header path old_header =
     let text = Circuit_io.Atomic_file.read path in
     let nl = String.index text '\n' in
@@ -92,17 +101,22 @@ let test_journal_record_load_roundtrip () =
   in
   let expect_outdated what old_header =
     match Core.Journal.load dir with
-    | _ -> Alcotest.fail ("accepted a version-1 " ^ what)
+    | _ -> Alcotest.fail ("accepted an outdated " ^ what)
     | exception Failure msg ->
         check ("names the old " ^ what ^ " version") true (Util.contains msg old_header);
         check "asks for a re-run" true (Util.contains msg "re-run")
   in
   let manifest = Filename.concat dir "manifest" in
-  let v2 = rewrite_header manifest "alsrac-journal 1" in
-  expect_outdated "manifest" "alsrac-journal 1";
-  Circuit_io.Atomic_file.write manifest v2;
-  ignore (rewrite_header (Filename.concat dir "checkpoint") "alsrac-checkpoint 1");
-  expect_outdated "checkpoint" "alsrac-checkpoint 1"
+  let checkpoint = Filename.concat dir "checkpoint" in
+  List.iter
+    (fun v ->
+      let current = rewrite_header manifest ("alsrac-journal " ^ v) in
+      expect_outdated "manifest" ("alsrac-journal " ^ v);
+      Circuit_io.Atomic_file.write manifest current;
+      let current = rewrite_header checkpoint ("alsrac-checkpoint " ^ v) in
+      expect_outdated "checkpoint" ("alsrac-checkpoint " ^ v);
+      Circuit_io.Atomic_file.write checkpoint current)
+    [ "1"; "2" ]
 
 (* ---------- Kill-and-resume determinism ---------- *)
 

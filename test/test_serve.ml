@@ -194,6 +194,21 @@ let test_protocol_rejects_garbage () =
       | exception Failure _ -> ())
     bad
 
+(* A NaN budget would let the flow delete the whole circuit; the decoder
+   refuses it (and a negative one), so the daemon answers bad-request. *)
+let test_protocol_rejects_bad_threshold () =
+  List.iter
+    (fun threshold ->
+      let payload =
+        "alsrac-req 1\nverb approx\nsession s\nmetric er\nthreshold " ^ threshold
+        ^ "\nseed 1\neval-rounds 256\nmax-iters 5\nend\n"
+      in
+      match Serve.Protocol.decode_request payload with
+      | _ -> Alcotest.failf "accepted threshold %s" threshold
+      | exception Failure msg ->
+          check "names the threshold" true (Util.contains msg "threshold"))
+    [ "nan"; "-nan"; "-0x1p-7" ]
+
 let test_protocol_session_names () =
   check "plain ok" true (Serve.Protocol.valid_session_name "my-session_1.x");
   check "empty rejected" false (Serve.Protocol.valid_session_name "");
@@ -373,6 +388,18 @@ let test_session_persistence () =
   Serve.Session.clear_inflight s';
   check "inflight cleared" true (Serve.Session.inflight s' = None);
   check "scan finds it" true (Serve.Session.scan ~state_dir = [ "s1" ]);
+  (* A manifest of the previous format version is refused with one clear
+     message, never converted. *)
+  let manifest = Filename.concat (Filename.concat state_dir "s1") "manifest" in
+  let text = Circuit_io.Atomic_file.read manifest in
+  let nl = String.index text '\n' in
+  Circuit_io.Atomic_file.write manifest
+    ("alsrac-session 1" ^ String.sub text nl (String.length text - nl));
+  (match Serve.Session.load_dir ~state_dir ~name:"s1" with
+  | _ -> Alcotest.fail "accepted a version-1 session manifest"
+  | exception Failure msg ->
+      check "names the old version" true (Util.contains msg "alsrac-session 1");
+      check "asks for a re-run" true (Util.contains msg "re-run"));
   Serve.Session.destroy s';
   check "destroy removes it" true (Serve.Session.scan ~state_dir = [])
 
@@ -736,6 +763,7 @@ let () =
           tc "request round-trip" test_protocol_request_roundtrip;
           tc "response round-trip" test_protocol_response_roundtrip;
           tc "hostile payloads rejected" test_protocol_rejects_garbage;
+          tc "nan threshold rejected" test_protocol_rejects_bad_threshold;
           tc "session name validation" test_protocol_session_names;
         ] );
       ( "scheduler",
